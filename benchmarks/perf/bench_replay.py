@@ -2,16 +2,16 @@
 
 Measures the throughput of the pass-1 render front-end and the pass-2
 replay engine (fast vs reference for both) over the game suite, plus
-serial-vs-parallel sweep wall time and the memory/overlap profile of
-the three tile-stream drivers, and writes the results as
+serial-vs-parallel sweep wall time and the memory/time profile of
+the two tile-stream drivers, and writes the results as
 ``BENCH_replay.json`` at the repository root.  This is the evidence for
 the fast-engine speedup targets and the CI perf-smoke regression gate.
 The render leg also cross-checks the two engines' trace digests per
 game, so the perf evidence doubles as a bit-exactness smoke test.
 
-The streaming leg spawns one subprocess per driver (``ru_maxrss`` is
-monotonic per process, so peak RSS cannot be measured twice in one
-interpreter) and stamps end-to-end seconds, peak RSS, and a digest of
+The streaming leg spawns one subprocess per driver (``batch`` and
+``streaming``; peak RSS is monotonic per process, so it cannot be
+measured twice in one interpreter) and stamps end-to-end seconds, peak RSS, and a digest of
 the :class:`~repro.sim.replay.RunResult` for the largest suite game.
 ``--check`` then gates on the batch-vs-streaming RSS ratio and on
 result equality across drivers.
@@ -69,10 +69,13 @@ REGRESSION_FACTOR = float(
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.lint.sanitizer import trace_digest  # noqa: E402
 from repro.config import GPUConfig  # noqa: E402
 from repro.core.dtexl import BASELINE, DTEXL_BEST  # noqa: E402
-from repro.sim.checkpoint import TraceCheckpointStore, trace_key  # noqa: E402
+from repro.sim.checkpoint import (  # noqa: E402
+    TraceCheckpointStore,
+    trace_digest,
+    trace_key,
+)
 from repro.sim.driver import ENGINES as RENDER_ENGINES  # noqa: E402
 from repro.sim.driver import FrameRenderer  # noqa: E402
 from repro.sim.experiment import ExperimentRunner  # noqa: E402
@@ -230,10 +233,8 @@ def run_probe(driver: str, game: str) -> int:
     """Child-process body: one render+replay under ``driver``.
 
     Prints a JSON record of seconds, peak RSS, and the result digest.
-    RSS is sampled as the max of self and reaped children so the
-    overlap driver's render worker is charged to its driver, and the
-    baseline snapshot (taken after imports and config setup) lets the
-    parent report working-set *growth* rather than interpreter
+    The baseline snapshot (taken after imports and config setup) lets
+    the parent report working-set *growth* rather than interpreter
     overhead.
     """
     config = bench_config()
@@ -247,10 +248,7 @@ def run_probe(driver: str, game: str) -> int:
         runner = ExperimentRunner(config, games=[game], stream=driver)
         result = runner.run(game, DTEXL_BEST)
     seconds = time.perf_counter() - t0
-    peak_kb = max(
-        _self_peak_rss_kb(),
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
+    peak_kb = _self_peak_rss_kb()
     print(json.dumps({
         "seconds": round(seconds, 4),
         "peak_rss_kb": peak_kb,

@@ -27,16 +27,12 @@ from repro.analysis.lint.rules import (
     Rule,
     rule_ids,
 )
-from repro.analysis.lint.sanitizer import (
-    TraceSanitizer,
-    Violation,
-    trace_digest,
-)
+from repro.analysis.lint.sanitizer import TraceSanitizer, Violation
 
 __all__ = [
     "LintEngine", "lint_paths",
     "Finding", "format_json", "format_text", "sort_findings",
     "ALL_RULES", "RULES_BY_ID", "TIMING_CRITICAL_PACKAGES", "Rule",
     "rule_ids",
-    "TraceSanitizer", "Violation", "trace_digest",
+    "TraceSanitizer", "Violation",
 ]

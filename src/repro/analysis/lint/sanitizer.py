@@ -27,10 +27,11 @@ structural invariants the decoupled-pipeline methodology rests on:
   Fragment before Blending within a tile, each unit's chain is
   monotonic across tiles, and the frame ends exactly when the slowest
   chain drains.
-* **checkpoint-hash agreement** — an optional expected digest (computed
-  with :func:`trace_digest` when the trace was produced or checkpointed)
-  still matches, so a trace mutated between pass 1 and pass 2 is caught
-  even when the mutation keeps the structure plausible.
+* **checkpoint-hash agreement** — an optional expected digest
+  (computed with :func:`~repro.sim.checkpoint.trace_digest` when the
+  trace was produced or checkpointed) still matches, so a trace
+  mutated between pass 1 and pass 2 is caught even when the mutation
+  keeps the structure plausible.
 
 ``check`` returns all violations; ``sanitize`` raises
 :class:`~repro.errors.InvariantViolationError` naming the first violated
@@ -45,7 +46,7 @@ from typing import List, Optional
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
 from repro.errors import InvariantViolationError, TraceIntegrityError
-from repro.sim.checkpoint import trace_digest, verify_trace  # noqa: F401 — trace_digest re-exported; it moved into sim so the tile-granular checkpoints can chain to it without an analysis import
+from repro.sim.checkpoint import trace_digest, verify_trace
 from repro.sim.driver import FrameTrace
 from repro.sim.replay import RunResult
 

@@ -652,7 +652,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sanitize(args) -> int:
-    from repro.analysis.lint import TraceSanitizer, trace_digest
+    from repro.analysis.lint import TraceSanitizer
+    from repro.sim.checkpoint import trace_digest
 
     config = args.screen
     designs = _designs(args.design)
@@ -741,8 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", choices=STREAM_DRIVERS, default="batch",
         help="tile dataflow: batch materializes the whole trace, "
              "streaming renders/replays/drops one tile group at a time "
-             "(bounded memory), overlap renders ahead in a worker "
-             "process; results are bit-identical across all three",
+             "(bounded memory); results are bit-identical across both",
     )
     _add_common(p_replay)
 
@@ -805,9 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--stream", choices=STREAM_DRIVERS, default="batch",
         help="tile dataflow for each replay (see `repro replay "
-             "--help`); with --checkpoint-dir the streaming driver "
-             "caches per-tile chunks so later design points skip the "
-             "render; rows are bit-identical across drivers",
+             "--help`); with --checkpoint-dir both drivers keep pass 1 "
+             "as the same per-tile chunk sets, so later design points "
+             "and resumed runs skip the render; rows are bit-identical "
+             "across drivers",
     )
     _add_common(p_sweep)
 

@@ -11,8 +11,6 @@ from repro.sim.replay import RunResult, TraceReplayer
 from repro.sim.stream import (
     STREAM_DRIVERS,
     BatchTileStream,
-    FrameSource,
-    OverlappedTileStream,
     StreamingTileStream,
     TileWorkUnit,
 )
@@ -36,8 +34,8 @@ from repro.sim.chaos import ChaosReport, ChaosTrial, run_chaos
 __all__ = [
     "FrameRenderer", "FrameTrace", "RenderStats", "TileTraceEntry",
     "TraceReplayer", "RunResult",
-    "STREAM_DRIVERS", "BatchTileStream", "FrameSource",
-    "OverlappedTileStream", "StreamingTileStream", "TileWorkUnit",
+    "STREAM_DRIVERS", "BatchTileStream", "StreamingTileStream",
+    "TileWorkUnit",
     "ExperimentRunner", "SuiteResult",
     "TileChunkStore", "TraceCheckpointStore",
     "trace_digest", "trace_key", "verify_trace",

@@ -2,12 +2,12 @@
 
 ``repro chaos`` runs N seeded trials.  Each trial samples a
 :class:`~repro.sim.faults.FaultPlan` from a catalog of *healable*
-faults (torn checkpoint writes, corrupted trace loads, transient replay
+faults (torn chunk writes, corrupted chunk loads, transient replay
 errors, journal kills mid-append, worker process death, worker hangs),
 arms it, and runs a small design-space sweep against a fresh checkpoint
 directory.  If the injected campaign dies — an :class:`InjectedKill`
 mid-journal or a fatal baseline failure, both stand-ins for a real
-power cut — the trial resumes it, re-arming only the checkpoint-*load*
+power cut — the trial resumes it, re-arming only the chunk-*load*
 faults (the one class of corruption a restart can still encounter).
 
 The invariant each trial proves is the one long campaigns live on: the
@@ -38,6 +38,7 @@ from repro.errors import ConfigError, ReplayError, ReproError
 from repro.sim import faults
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.resilience import RetryPolicy, RunManifest
+from repro.sim.stream import STREAM_DRIVERS
 from repro.sim.sweep import DesignSweep, SweepReport
 
 __all__ = [
@@ -48,13 +49,10 @@ __all__ = [
 #: One small, fast game keeps a 20-trial campaign in CI-smoke territory.
 DEFAULT_CHAOS_GAMES: Tuple[str, ...] = ("SWa",)
 
-#: Parent-process faults every trial may sample.  The chunk sites only
-#: fire when the trial draws the streaming dataflow (batch trials never
-#: reach them, which is harmless — the spec just never fires).
+#: Parent-process faults every trial may sample.  The chunk sites fire
+#: under both drivers: a batch checkpoint is a chunk set too, so batch
+#: trials tear and corrupt whole-frame checkpoints through them.
 _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
-    (faults.SITE_CHECKPOINT_SAVE, faults.KIND_TORN_WRITE),
-    (faults.SITE_CHECKPOINT_LOAD, faults.KIND_TRUNCATE),
-    (faults.SITE_CHECKPOINT_LOAD, faults.KIND_CORRUPT),
     (faults.SITE_CHUNK_SAVE, faults.KIND_TORN_WRITE),
     (faults.SITE_CHUNK_LOAD, faults.KIND_TRUNCATE),
     (faults.SITE_CHUNK_LOAD, faults.KIND_CORRUPT),
@@ -62,13 +60,6 @@ _PARENT_FAULTS: Tuple[Tuple[str, str], ...] = (
     (faults.SITE_JOURNAL_RECORD, faults.KIND_KILL),
     (faults.SITE_REPLAY, faults.KIND_TRANSIENT),
 )
-
-#: Stream drivers chaos trials alternate between: the batch spec and
-#: the tile-granular streaming path whose chunk checkpoints must heal
-#: kills and corruption landing *inside* a frame.  Overlap is covered
-#: by the targeted crash/timeout tests instead — its worker adds a
-#: second process per replay, too slow for a 20-trial campaign.
-_TRIAL_STREAMS: Tuple[str, ...] = ("batch", "streaming")
 
 #: Worker-process faults, only meaningful when the trial runs jobs > 1.
 _WORKER_FAULTS: Tuple[Tuple[str, str], ...] = (
@@ -281,7 +272,9 @@ def run_chaos(
         trial_seed = master.randrange(2 ** 31)
         trial_rng = random.Random(trial_seed)
         trial_jobs = trial_rng.choice([1, jobs]) if jobs > 1 else 1
-        trial_stream = trial_rng.choice(_TRIAL_STREAMS)
+        # Both drivers: streaming's chunk checkpoints must also heal
+        # kills and corruption landing *inside* a frame.
+        trial_stream = trial_rng.choice(STREAM_DRIVERS)
         plan = sample_plan(trial_seed, trial_jobs, hang_seconds)
         trial = ChaosTrial(
             index=index, seed=trial_seed, jobs=trial_jobs,
@@ -315,13 +308,12 @@ def run_chaos(
                         f"armed run: unhandled "
                         f"{type(error).__name__}: {error}"
                     )
-            # Resume what survived on disk.  Only checkpoint/chunk-load
-            # corruption stays armed: those are the faults a restarted
-            # campaign can still encounter, and both must self-heal by
-            # re-rendering (the whole frame, or the one torn tile).
-            resume_plan = plan.for_sites(
-                {faults.SITE_CHECKPOINT_LOAD, faults.SITE_CHUNK_LOAD}
-            )
+            # Resume what survived on disk.  Only chunk-load corruption
+            # stays armed: that is the fault a restarted campaign can
+            # still encounter, and it must self-heal by re-rendering
+            # (the whole frame under batch, the one torn tile under
+            # streaming).
+            resume_plan = plan.for_sites({faults.SITE_CHUNK_LOAD})
             with faults.armed(resume_plan if resume_plan.specs else None):
                 resumed = sweep.run(
                     ExperimentRunner(

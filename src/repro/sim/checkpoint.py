@@ -2,34 +2,35 @@
 
 Pass 1 (the functional render) is the expensive half of the two-pass
 economy; a crashed campaign that throws its traces away pays it again.
-This module makes pass-1 results durable:
+This module makes pass-1 results durable in one on-disk format, a
+sealed chunk set:
 
 * :func:`trace_key` — a content hash of ``(GPUConfig, workload recipe,
   frame)``, so a checkpoint is only ever reused for the exact workload
   and configuration that produced it.
-* :class:`TraceCheckpointStore` — serializes a
-  :class:`~repro.sim.driver.FrameTrace` to disk and verifies it on load:
-  a payload hash catches bit-level tampering, and structural invariants
-  (full tile coverage, quad counts against :class:`RenderStats`) catch
-  semantically broken traces that still unpickle.  Any verification
-  failure raises :class:`~repro.errors.TraceIntegrityError`.
-* :class:`SweepProgress` — an append-only journal of completed sweep
-  rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
-  every design point that already finished.
 * :func:`trace_digest` / :class:`TraceDigestBuilder` — the canonical
   *semantic* content hash of a frame trace, built as a hash chain over
   per-tile digests (sorted tile order) so it can be accumulated one
   tile at a time without ever materializing the frame.
-* :class:`TileChunkStore` — the tile-granular checkpoint the streaming
-  dataflow uses: one verified chunk per tile coordinate plus a frame
-  meta record whose hash chain terminates in the trace digest, so a
-  chunk set reassembles (and cross-checks) to exactly the trace the
-  batch path would have checkpointed.
+* :class:`TileChunkStore` — one verified chunk per tile coordinate plus
+  a ``frame.json`` seal whose hash chain terminates in the trace
+  digest.  The streaming dataflow writes and reads it one tile at a
+  time.
+* :class:`TraceCheckpointStore` — whole-frame checkpoints on top of
+  the same chunk sets (``<store>/chunks/<key>/``): a save chunks every
+  tile and seals the frame with its :class:`RenderStats`; a load
+  checks every chunk's payload hash, the hash chain against the sealed
+  digest, and the structural invariants of :func:`verify_trace`.  Any
+  failure raises :class:`~repro.errors.TraceIntegrityError`, which
+  callers treat as a cache miss.
+* :class:`SweepProgress` — an append-only journal of completed sweep
+  rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
+  every design point that already finished.
 
-Checkpoint file layout (version 1): one ASCII JSON header line holding
-the key, payload SHA-256 and summary counts, a newline, then the raw
+Chunk file layout (version 1): one ASCII JSON header line holding the
+key, tile, payload SHA-256 and tile digest, a newline, then the raw
 pickle payload.  Writes are atomic (temp file + ``os.replace``) so a
-crash mid-save never leaves a half-written checkpoint that a later
+crash mid-save never leaves a half-written chunk or seal that a later
 ``--resume`` would trust.
 """
 
@@ -41,22 +42,21 @@ import json
 import os
 import pickle
 import tempfile
+import typing
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
-from repro.core.tile_order import TileCoord
-from repro.errors import TraceIntegrityError
-from repro.sim.driver import FrameTrace, TileTraceEntry
+from repro.core.tile_order import TileCoord, scanline_order
+from repro.errors import CheckpointError, TraceIntegrityError
+from repro.sim.driver import FrameTrace, RenderStats, TileTraceEntry
 from repro.sim.faults import (
     InjectedKill,
     KIND_CORRUPT,
     KIND_PARTIAL_LINE,
     KIND_TORN_WRITE,
     KIND_TRUNCATE,
-    SITE_CHECKPOINT_LOAD,
-    SITE_CHECKPOINT_SAVE,
     SITE_CHUNK_LOAD,
     SITE_CHUNK_SAVE,
     SITE_JOURNAL_RECORD,
@@ -65,6 +65,8 @@ from repro.sim.faults import (
 from repro.workloads.recipe import SceneRecipe
 
 CHECKPOINT_VERSION = 1
+#: Subdirectory of a trace checkpoint store holding the chunk sets.
+CHUNK_SUBDIR = "chunks"
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
 
 
@@ -91,9 +93,16 @@ def _flip_last_byte(path: Path) -> None:
         pass
 
 
+#: Payloads are trees of plain values, so the encoder skips the
+#: per-container cycle check; the text is identical either way.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=list,
+    check_circular=False,
+)
+
+
 def _canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=list)
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def config_fingerprint(config: GPUConfig) -> Dict[str, Any]:
@@ -184,14 +193,10 @@ def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
         "tile": list(tile),
         "fetch_lines": list(entry.fetch_lines),
         "fetch_cycles": entry.fetch_cycles,
+        # Every Quad field but ``tile`` (slice 1:8 = qx .. texture_lines;
+        # tuples encode as JSON arrays), then the LOD by repr and blend.
         "quads": [
-            [
-                quad.qx, quad.qy, quad.primitive_id,
-                quad.texture_id, list(quad.coverage),
-                quad.alu_cycles, list(quad.texture_lines),
-                repr(quad.lod), quad.blend,
-            ]
-            for quad in entry.quads
+            (*quad[1:8], repr(quad.lod), quad.blend) for quad in entry.quads
         ],
     }
     text = _canonical_json(payload)
@@ -207,251 +212,236 @@ class TraceDigestBuilder:
     per-tile digests are collected unordered and only chained at
     :meth:`finish`, a streaming producer can feed tiles in the replay's
     traversal order while still arriving at the exact digest a
-    materialized trace hashes to.
+    materialized trace hashes to.  The stats totals (``num_quads``,
+    ``pixels_shaded``) are order-independent sums, accumulated as the
+    tiles flow past.
     """
 
     def __init__(self, config: GPUConfig, vertex_lines: Sequence[int]):
+        self.config = config
+        self.vertex_lines = list(vertex_lines)
         prefix = _canonical_json({
             "config": config_fingerprint(config),
-            "vertex_lines": list(vertex_lines),
+            "vertex_lines": self.vertex_lines,
         })
         self._prefix = hashlib.sha256(prefix.encode("ascii")).hexdigest()
         self._tiles: Dict[TileCoord, str] = {}
+        self.num_quads = 0
+        self.pixels_shaded = 0
 
-    def add(self, tile: TileCoord, entry: TileTraceEntry) -> str:
-        """Fold one tile in; returns (and records) its tile digest."""
-        digest = tile_digest(tile, entry)
+    def add(
+        self, tile: TileCoord, entry: TileTraceEntry,
+        digest: Optional[str] = None,
+    ) -> str:
+        """Fold one tile in; ``digest`` skips rehashing a verified chunk."""
+        if digest is None:
+            digest = tile_digest(tile, entry)
+        quads = entry.quads
+        self.num_quads += len(quads)
+        self.pixels_shaded += sum(quad.covered_pixels for quad in quads)
+        return self.add_digest(tile, digest)
+
+    def add_digest(self, tile: TileCoord, digest: str) -> str:
+        """Fold in one tile's digest alone, skipping the stats totals.
+
+        For a producer that already holds the frame's
+        :class:`RenderStats` and will pass them to :meth:`finish`.
+        """
         self._tiles[tuple(tile)] = digest
         return digest
 
-    def add_digest(self, tile: TileCoord, digest: str) -> None:
-        """Fold in a tile whose digest is already known (verified chunk)."""
-        self._tiles[tuple(tile)] = digest
-
-    @property
-    def tile_digests(self) -> Dict[TileCoord, str]:
-        return dict(self._tiles)
-
-    def finish(self, num_quads: int, pixels_shaded: int) -> str:
+    def finish(self, stats: Optional[RenderStats] = None) -> str:
         """The frame digest: chain over sorted tiles, stats sealed last.
 
-        ``num_quads`` / ``pixels_shaded`` are order-independent sums
-        over the per-tile quad streams, so a streaming producer can
-        accumulate them while tiles flow past and still seal the same
-        digest as :func:`trace_digest` over the materialized trace.
+        The stats link seals the accumulated totals, or ``stats``'
+        totals when given: :func:`trace_digest` hashes what a
+        materialized trace's :class:`RenderStats` claim.
         """
         chain = self._prefix
         for tile in sorted(self._tiles):
             chain = hashlib.sha256(
                 (chain + self._tiles[tile]).encode("ascii")
             ).hexdigest()
-        stats = _canonical_json({
-            "num_quads": num_quads,
-            "pixels_shaded": pixels_shaded,
+        source = self if stats is None else stats
+        totals = _canonical_json({
+            "num_quads": source.num_quads,
+            "pixels_shaded": source.pixels_shaded,
         })
-        return hashlib.sha256((chain + stats).encode("ascii")).hexdigest()
+        return hashlib.sha256((chain + totals).encode("ascii")).hexdigest()
 
 
 def trace_digest(trace: FrameTrace) -> str:
     """Canonical content hash of a frame trace.
 
-    Unlike the pickle-payload hash of :class:`TraceCheckpointStore`,
-    this digest is a function of the trace's *semantic* content (tiles
-    sorted, quads in stream order, every replay-relevant field), so two
-    structurally equal traces hash equally regardless of how they were
-    serialized.  Built with :class:`TraceDigestBuilder`, which is what
-    lets the streaming dataflow compute the same digest without ever
-    holding the whole frame.
+    A function of the trace's *semantic* content (tiles sorted, quads in
+    stream order, every replay-relevant field), so two structurally
+    equal traces hash equally regardless of how they were serialized.
+    Built with :class:`TraceDigestBuilder`, which is what lets the
+    streaming dataflow compute the same digest without ever holding the
+    whole frame, and what seals every checkpointed chunk set.
     """
     builder = TraceDigestBuilder(trace.config, trace.vertex_lines)
     for tile, entry in trace.tiles.items():
         builder.add(tile, entry)
-    return builder.finish(trace.stats.num_quads, trace.stats.pixels_shaded)
+    return builder.finish(trace.stats)
+
+
+def _config_from(cls, values: Dict[str, Any]):
+    """Inverse of :func:`dataclasses.asdict` for the nested config."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        name: (
+            _config_from(hints[name], value)
+            if dataclasses.is_dataclass(hints[name]) else value
+        )
+        for name, value in values.items()
+    })
 
 
 class TraceCheckpointStore:
-    """Disk-backed, integrity-checked store of frame traces."""
+    """Disk-backed, integrity-checked store of frame traces.
+
+    A checkpoint is a sealed chunk set: :meth:`save` writes one
+    :class:`TileChunkStore` chunk per tile under
+    ``<directory>/chunks/<key>/`` and seals ``frame.json`` over them,
+    the same format the streaming dataflow writes one tile at a time.
+    So a frame saved by either driver replays through the other, and a
+    streamed run can resume from a batch-saved frame.
+    """
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.trace"
+    def _chunk_dir(self, key: str) -> Path:
+        return self.directory / CHUNK_SUBDIR / key
+
+    def chunks(self, key: str) -> "TileChunkStore":
+        """The chunk set holding (or about to hold) checkpoint ``key``."""
+        return TileChunkStore(self._chunk_dir(key), key)
 
     def contains(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        """Whether a sealed chunk set exists under ``key``."""
+        return TileChunkStore.meta_path_in(self._chunk_dir(key)).is_file()
 
     def save(self, key: str, trace: FrameTrace) -> Path:
-        """Atomically persist ``trace`` under ``key``."""
-        payload = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _canonical_json({
-            "version": CHECKPOINT_VERSION,
-            "key": key,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "num_quads": trace.stats.num_quads,
-            "num_tiles": len(trace.tiles),
-        })
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".trace"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("ascii") + b"\n")
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        if fault_point(SITE_CHECKPOINT_SAVE, key=key) == KIND_TORN_WRITE:
-            # Simulated torn write: the rename survived but the tail of
-            # the payload never hit the platter.  load() must detect it.
-            _truncate_file(path, 0.5)
-        return path
+        """Persist ``trace`` as a sealed chunk set; returns its meta path."""
+        chunks = self.chunks(key)
+        builder = TraceDigestBuilder(trace.config, trace.vertex_lines)
+        for tile, entry in trace.tiles.items():
+            builder.add_digest(tile, chunks.save_tile(tile, entry))
+        chunks.seal(builder, trace.stats)
+        return chunks.meta_path()
 
     def load(self, key: str) -> FrameTrace:
-        """Load and fully verify the trace stored under ``key``.
+        """Reassemble and fully verify the trace stored under ``key``.
 
-        Raises :class:`TraceIntegrityError` (a
-        :class:`~repro.errors.CheckpointError`) for anything short of a
-        byte-identical, structurally sound checkpoint; callers treat
-        that as a cache miss and re-render, never as a fatal error.
+        Every chunk's payload hash, the hash chain against the sealed
+        digest, and :func:`verify_trace` must pass.  Anything less raises
+        :class:`TraceIntegrityError` (a
+        :class:`~repro.errors.CheckpointError`); callers treat that as
+        a cache miss and re-render, never as a fatal error.
         """
-        path = self.path_for(key)
-        fault = fault_point(SITE_CHECKPOINT_LOAD, key=key)
-        if fault == KIND_TRUNCATE:
-            _truncate_file(path, 0.5)
-        elif fault == KIND_CORRUPT:
-            _flip_last_byte(path)
-        try:
-            with open(path, "rb") as handle:
-                header_line = handle.readline(_HEADER_LIMIT)
-                payload = handle.read()
-        except OSError as error:
+        # Checked before opening the chunk set, whose directory a miss
+        # must not create: on a read-only store that would raise
+        # OSError instead of the cache miss callers expect.
+        if not self.contains(key):
+            raise TraceIntegrityError(f"no sealed checkpoint under {key!r}")
+        chunks = self.chunks(key)
+        meta = chunks.frame_meta()
+        if meta is None or not meta.get("stats"):
             raise TraceIntegrityError(
-                f"cannot read checkpoint {path}: {error}"
-            ) from error
-        try:
-            header = json.loads(header_line.decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise TraceIntegrityError(
-                f"checkpoint {path} has a corrupt header"
-            ) from error
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise TraceIntegrityError(
-                f"checkpoint {path} has unsupported version "
-                f"{header.get('version')!r}"
-            )
-        if header.get("key") != key:
-            raise TraceIntegrityError(
-                f"checkpoint {path} was written for key "
-                f"{header.get('key')!r}, not {key!r}"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise TraceIntegrityError(
-                f"checkpoint {path} payload hash mismatch "
-                "(file corrupted or tampered with)"
+                f"checkpoint seal {chunks.meta_path()} is unreadable, of "
+                "another version or key, or has no render stats"
             )
         try:
-            trace = pickle.loads(payload)
-        except Exception as error:
+            config = _config_from(GPUConfig, meta["config"])
+            stats = RenderStats(**meta["stats"])
+            vertex_lines = list(meta["vertex_lines"])
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise TraceIntegrityError(
-                f"checkpoint {path} payload does not unpickle: {error}"
+                f"checkpoint {chunks.meta_path()} has a malformed seal"
             ) from error
-        if not isinstance(trace, FrameTrace):
+        builder = TraceDigestBuilder(config, vertex_lines)
+        tiles: Dict[TileCoord, TileTraceEntry] = {}
+        for tile in scanline_order(config.tiles_x, config.tiles_y):
+            loaded = chunks.load_tile(tile)
+            if loaded is None:
+                raise TraceIntegrityError(
+                    f"checkpoint chunk {chunks.chunk_path(tile)} is "
+                    "missing, torn or fails its payload hash"
+                )
+            tiles[tile] = loaded[0]
+            builder.add(tile, *loaded)
+        if builder.finish(stats) != meta.get("digest"):
             raise TraceIntegrityError(
-                f"checkpoint {path} holds a {type(trace).__name__}, "
-                "not a FrameTrace"
+                f"checkpoint {key!r} chunks do not chain to the sealed "
+                "digest (chunk or seal tampered with)"
             )
-        if len(trace.tiles) != header.get("num_tiles"):
-            raise TraceIntegrityError(
-                f"checkpoint {path} tile count disagrees with its header"
-            )
+        trace = FrameTrace(config, vertex_lines, tiles, stats)
         verify_trace(trace)
         return trace
 
+    def load_or_render(
+        self, key: str, render: Callable[[], FrameTrace]
+    ) -> FrameTrace:
+        """The trace under ``key``, or ``render()``'s, checkpointed.
 
-class ChunkedFrameDigest:
-    """Running digest of one chunked frame, sealed after full traversal.
-
-    Created by :meth:`TileChunkStore.begin_frame`; the streaming driver
-    feeds every tile (rendered or chunk-loaded) through :meth:`add`,
-    and :meth:`seal` either writes the frame meta — vertex prologue,
-    per-tile hash chain, final trace digest — or cross-checks it against
-    a meta a previous run already sealed, raising
-    :class:`TraceIntegrityError` on divergence.
-    """
-
-    def __init__(
-        self,
-        store: "TileChunkStore",
-        config: GPUConfig,
-        vertex_lines: Sequence[int],
-    ):
-        self._store = store
-        self._builder = TraceDigestBuilder(config, vertex_lines)
-        self._vertex_lines = list(vertex_lines)
-        self._num_quads = 0
-        self._pixels_shaded = 0
-
-    def add(
-        self, tile: TileCoord, entry: TileTraceEntry,
-        digest: Optional[str] = None,
-    ) -> None:
-        """Fold one tile in; ``digest`` skips rehashing a verified chunk."""
-        if digest is None:
-            self._builder.add(tile, entry)
-        else:
-            self._builder.add_digest(tile, digest)
-        self._num_quads += len(entry.quads)
-        self._pixels_shaded += sum(
-            quad.covered_pixels for quad in entry.quads
-        )
-
-    def seal(self) -> str:
-        """Finish the chain; persist or cross-check the frame meta."""
-        digest = self._builder.finish(self._num_quads, self._pixels_shaded)
-        existing = self._store.frame_meta()
-        if existing is not None:
-            if existing.get("digest") != digest:
-                raise TraceIntegrityError(
-                    f"chunked frame under {self._store.directory} "
-                    f"reassembled to digest {digest}, but its sealed "
-                    f"meta records {existing.get('digest')!r}"
+        The one cache-miss path: any :class:`CheckpointError` (absent,
+        torn, corrupt or tampered chunk set) re-renders the frame and
+        rewrites its chunk set for the next run.  A rewrite that fails
+        (full or read-only store) only warns: the rendered trace in hand
+        is still good, and the next run simply misses again.
+        """
+        try:
+            return self.load(key)
+        except CheckpointError:
+            trace = render()
+            try:
+                self.save(key, trace)
+            except OSError as error:
+                warnings.warn(
+                    f"could not checkpoint trace {key!r} under "
+                    f"{self.directory}: {error}",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-            return digest
-        self._store.write_frame_meta(
-            digest=digest,
-            vertex_lines=self._vertex_lines,
-            tile_digests=self._builder.tile_digests,
-            num_quads=self._num_quads,
-            pixels_shaded=self._pixels_shaded,
-        )
-        return digest
+            return trace
+
+
+def _atomic_write(path: Path, *parts: bytes) -> None:
+    """Write ``parts`` to ``path`` via temp file + ``os.replace``."""
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for part in parts:
+                handle.write(part)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class TileChunkStore:
     """Tile-granular trace checkpoints, hash-chained to the trace digest.
 
-    The streaming dataflow's durable form of pass 1: one verified chunk
-    per tile coordinate (same header-line + pickle layout as
-    :class:`TraceCheckpointStore`, same torn-write/corruption fault
-    points, same atomic replace) plus a ``frame.json`` meta record
-    holding the vertex prologue and the per-tile hash chain whose final
-    link is exactly :func:`trace_digest` of the reassembled trace.
+    The one durable form of pass 1: one verified chunk per tile
+    coordinate (an ASCII JSON header line, then the pickled entry) plus
+    a ``frame.json`` seal holding the config, vertex prologue, render
+    stats and the frame digest that the chunks' per-tile digests must
+    chain to: exactly :func:`trace_digest` of the reassembled trace.
 
-    A missing, truncated or corrupt chunk is a *cache miss* — the
-    caller re-renders that one tile — never an error, mirroring the
-    trace store's self-healing contract at tile granularity.  The first
-    design point of a streaming campaign therefore renders each tile
-    once and chunks it; every later design point replays the same game
-    from chunks, restoring the render-once economy while peak memory
-    stays O(tiles-in-flight).
+    For the streaming dataflow a missing, truncated or corrupt chunk is
+    a *cache miss* — the caller re-renders that one tile — never an
+    error.  The first design point of a streaming campaign therefore
+    renders each tile once and chunks it; every later design point
+    replays the same game from chunks, restoring the render-once economy
+    while peak memory stays O(tiles-in-flight).
     """
 
     META_FILENAME = "frame.json"
@@ -482,26 +472,12 @@ class TileChunkStore:
             "num_quads": len(entry.quads),
         })
         path = self.chunk_path(tile)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".chunk"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("ascii") + b"\n")
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write(path, header.encode("ascii"), b"\n", payload)
         if fault_point(
             SITE_CHUNK_SAVE, key=self._fault_key(tile)
         ) == KIND_TORN_WRITE:
-            # Same simulated torn write as the trace store: the rename
-            # survived but the payload tail never hit the platter; the
-            # next load must detect it and re-render this one tile.
+            # Simulated torn write: the rename survived but the payload
+            # tail never hit the platter; the next load must detect it.
             _truncate_file(path, 0.5)
         return digest
 
@@ -548,10 +524,15 @@ class TileChunkStore:
             return None
         return entry, digest
 
-    # -- frame meta ------------------------------------------------------------
+    # -- frame seal ------------------------------------------------------------
+
+    @classmethod
+    def meta_path_in(cls, directory: Path) -> Path:
+        """Where the seal of the chunk set in ``directory`` lives."""
+        return directory / cls.META_FILENAME
 
     def meta_path(self) -> Path:
-        return self.directory / self.META_FILENAME
+        return self.meta_path_in(self.directory)
 
     def frame_meta(self) -> Optional[Dict[str, Any]]:
         """The sealed frame record, or ``None`` while incomplete/corrupt."""
@@ -563,7 +544,11 @@ class TileChunkStore:
                 meta = json.load(handle)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if not isinstance(meta, dict) or meta.get("key") != self.key:
+        if (
+            not isinstance(meta, dict)
+            or meta.get("version") != CHECKPOINT_VERSION
+            or meta.get("key") != self.key
+        ):
             return None
         return meta
 
@@ -580,49 +565,40 @@ class TileChunkStore:
         meta = self.frame_meta()
         return meta.get("digest") if meta else None
 
-    def write_frame_meta(
-        self,
-        digest: str,
-        vertex_lines: Sequence[int],
-        tile_digests: Dict[TileCoord, str],
-        num_quads: int,
-        pixels_shaded: int,
-    ) -> Path:
-        """Atomically seal the frame: chain record + final digest."""
-        chain = [
-            {"tile": list(tile), "digest": tile_digests[tile]}
-            for tile in sorted(tile_digests)
-        ]
+    def seal(
+        self, builder: TraceDigestBuilder,
+        stats: Optional[RenderStats] = None,
+    ) -> str:
+        """Finish ``builder``'s chain and seal the frame under it.
+
+        ``stats`` marks a pass that just wrote every chunk (a batch
+        save, or a streamed render of the whole frame): its seal is
+        written outright and records the :class:`RenderStats` a batch
+        load needs.  Without ``stats``, a seal an earlier pass wrote is
+        cross-checked instead, raising :class:`TraceIntegrityError` when
+        the chunks no longer chain to its digest.
+        """
+        digest = builder.finish(stats)
+        if stats is None:
+            existing = self.frame_meta()
+            if existing is not None:
+                if existing.get("digest") != digest:
+                    raise TraceIntegrityError(
+                        f"chunked frame under {self.directory} reassembled "
+                        f"to digest {digest}, but its seal records "
+                        f"{existing.get('digest')!r}"
+                    )
+                return digest
         meta = _canonical_json({
             "version": CHECKPOINT_VERSION,
             "key": self.key,
             "digest": digest,
-            "vertex_lines": list(vertex_lines),
-            "num_quads": num_quads,
-            "pixels_shaded": pixels_shaded,
-            "chain": chain,
+            "config": config_fingerprint(builder.config),
+            "vertex_lines": builder.vertex_lines,
+            "stats": dataclasses.asdict(stats) if stats else None,
         })
-        path = self.meta_path()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(meta + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def begin_frame(
-        self, config: GPUConfig, vertex_lines: Sequence[int]
-    ) -> ChunkedFrameDigest:
-        """Start the running digest for one full tile traversal."""
-        return ChunkedFrameDigest(self, config, vertex_lines)
+        _atomic_write(self.meta_path(), meta.encode("ascii"), b"\n")
+        return digest
 
 
 class SweepProgress:

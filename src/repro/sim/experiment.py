@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.stats import geometric_mean
 from repro.config import GPUConfig, TEST_CONFIG
 from repro.core.dtexl import BASELINE, DTexLConfig
-from repro.errors import CheckpointError, ReplayError
-from repro.sim.checkpoint import TileChunkStore, TraceCheckpointStore, trace_key
+from repro.errors import ReplayError
+from repro.sim.checkpoint import (  # CHUNK_SUBDIR is re-exported
+    CHUNK_SUBDIR,
+    TileChunkStore,
+    TraceCheckpointStore,
+    trace_key,
+)
 from repro.sim.driver import FrameRenderer, FrameTrace
 from repro.sim.faults import SITE_REPLAY, fault_point
 from repro.sim.replay import RunResult, TraceReplayer
-from repro.sim.stream import (
-    FrameSource,
-    OverlappedTileStream,
-    StreamingTileStream,
-    check_driver,
-)
+from repro.sim.stream import StreamingTileStream, check_driver
 from repro.sim.resilience import (
     FailureRecord,
     ReplayBudget,
@@ -36,9 +36,6 @@ from repro.sim.resilience import (
 )
 from repro.texture.sampler import Sampler
 from repro.workloads.games import GAMES, build_game
-
-#: Subdirectory of a trace checkpoint store holding per-tile chunks.
-CHUNK_SUBDIR = "chunks"
 
 
 @dataclass
@@ -119,11 +116,10 @@ class ExperimentRunner:
     materializes each game's :class:`FrameTrace` once and replays it
     per design point; ``"streaming"`` renders tiles on the fly and
     drops them after replay, caching per-tile chunks in the checkpoint
-    store (when attached) so later design points still pay one render;
-    ``"overlap"`` renders in a worker process feeding a bounded queue
-    while this process replays.  All three produce bit-identical
-    :class:`RunResult`\\ s — the drivers change *when* memory and time
-    are spent, never what is computed.
+    store (when attached) so later design points still pay one render.
+    Both produce bit-identical :class:`RunResult`\\ s and share one
+    checkpoint format — the drivers change *when* memory and time are
+    spent, never what is computed.
     """
 
     def __init__(
@@ -156,31 +152,25 @@ class ExperimentRunner:
     def trace_for(self, alias: str) -> FrameTrace:
         """Return one game's frame trace, rendering only when needed.
 
-        Lookup order: in-memory cache, then the checkpoint store (any
-        :class:`CheckpointError` — truncated, corrupt, unreadable — is
-        a cache miss: the checkpoint is discarded and re-rendered),
-        then a fresh render whose result is checkpointed for the next
-        run.
+        Lookup order: in-memory cache, then the checkpoint store (whose
+        :meth:`~TraceCheckpointStore.load_or_render` treats any damaged
+        checkpoint as a cache miss), then a fresh render.
         """
         if alias in self._traces:
             return self._traces[alias]
-        key = None
         if self.checkpoint_store is not None and alias in GAMES:
-            key = trace_key(self.config, GAMES[alias].recipe)
-            if self.checkpoint_store.contains(key):
-                try:
-                    trace = self.checkpoint_store.load(key)
-                except CheckpointError:
-                    pass  # fall through and re-render the real thing
-                else:
-                    self._traces[alias] = trace
-                    return trace
-        workload = build_game(alias, self.config)
-        trace, _ = self.renderer.render(workload)
-        self.renders_performed += 1
+            trace = self.checkpoint_store.load_or_render(
+                trace_key(self.config, GAMES[alias].recipe),
+                lambda: self._render(alias),
+            )
+        else:
+            trace = self._render(alias)
         self._traces[alias] = trace
-        if key is not None:
-            self.checkpoint_store.save(key, trace)
+        return trace
+
+    def _render(self, alias: str) -> FrameTrace:
+        trace, _ = self.renderer.render(build_game(alias, self.config))
+        self.renders_performed += 1
         return trace
 
     def prepare_traces(
@@ -212,30 +202,20 @@ class ExperimentRunner:
     # -- streaming dataflow ------------------------------------------------------
 
     def chunk_store_for(self, alias: str) -> Optional[TileChunkStore]:
-        """The game's per-tile chunk store, when checkpointing is on.
+        """The game's chunk set, when checkpointing is on.
 
-        Chunks live under ``<trace store>/chunks/<trace key>/`` so a
-        campaign directory carries both granularities side by side and
-        ``trace_key`` keeps chunked frames from colliding across
-        configs or recipes.
+        The same ``<trace store>/chunks/<trace key>/`` set a batch
+        checkpoint of the game saves, so either driver resumes from the
+        other's frames.
         """
         if self.checkpoint_store is None or alias not in GAMES:
             return None
-        key = trace_key(self.config, GAMES[alias].recipe)
-        return TileChunkStore(
-            self.checkpoint_store.directory / CHUNK_SUBDIR / key, key
+        return self.checkpoint_store.chunks(
+            trace_key(self.config, GAMES[alias].recipe)
         )
 
-    def stream_for(
-        self, alias: str
-    ) -> Union[StreamingTileStream, OverlappedTileStream]:
-        """Build this runner's configured tile stream for one game."""
-        if self.stream == "overlap":
-            if alias not in GAMES:
-                build_game(alias, self.config)  # raises UnknownWorkloadError
-            return OverlappedTileStream(
-                FrameSource(config=self.config, recipe=GAMES[alias].recipe)
-            )
+    def stream_for(self, alias: str) -> StreamingTileStream:
+        """Build this runner's streamed tile dataflow for one game."""
         workload = build_game(alias, self.config)
         return StreamingTileStream(
             self.renderer, workload, chunk_store=self.chunk_store_for(alias)
@@ -259,7 +239,7 @@ class ExperimentRunner:
         fault_point(SITE_REPLAY, key=f"{design.name}/{alias}")
         stream = self.stream_for(alias)
         result = self.replayer.run_stream(stream, design)
-        if isinstance(stream, OverlappedTileStream) or stream.tiles_rendered:
+        if stream.tiles_rendered:
             self.renders_performed += 1
         elapsed = time.monotonic() - start  # replint: disable=wall-clock -- dataflow phase attribution for the manifest, never a simulated quantity
         self.phase_seconds["streamed"] = (

@@ -11,12 +11,16 @@ through the hot paths:
 ======================  ======================================================
 site                    instrumented in
 ======================  ======================================================
-``checkpoint.save``     :meth:`~repro.sim.checkpoint.TraceCheckpointStore.
-                        save` — torn write (the file is truncated after the
-                        atomic rename, as if the disk died mid-flush)
-``checkpoint.load``     :meth:`~repro.sim.checkpoint.TraceCheckpointStore.
-                        load` — the file is truncated or a payload byte is
-                        flipped before reading (hash-mismatch corruption)
+``chunk.save``          :meth:`~repro.sim.checkpoint.TileChunkStore.
+                        save_tile` — torn write (the chunk is truncated
+                        after the atomic rename, as if the disk died
+                        mid-flush); fires on every checkpoint save, batch
+                        (one per tile) and streaming alike
+``chunk.load``          :meth:`~repro.sim.checkpoint.TileChunkStore.
+                        load_tile` — the chunk is truncated or a payload
+                        byte is flipped before reading (hash-mismatch
+                        corruption); fires on batch checkpoint loads and
+                        streamed chunk reads alike
 ``journal.record``      :meth:`~repro.sim.checkpoint.SweepProgress.record`
                         — the process dies before the append (``kill``) or
                         mid-append, leaving a partial trailing line
@@ -55,8 +59,7 @@ from repro.errors import BudgetExceededError, ConfigError, InjectedFaultError
 
 __all__ = [
     "FaultPlan", "FaultSpec", "FireEvent", "InjectedKill",
-    "SITE_CHECKPOINT_LOAD", "SITE_CHECKPOINT_SAVE", "SITE_CHUNK_LOAD",
-    "SITE_CHUNK_SAVE", "SITE_JOURNAL_RECORD",
+    "SITE_CHUNK_LOAD", "SITE_CHUNK_SAVE", "SITE_JOURNAL_RECORD",
     "SITE_REPLAY", "SITE_WORKER", "SITES",
     "KIND_BUDGET", "KIND_CORRUPT", "KIND_EXIT", "KIND_HANG", "KIND_KILL",
     "KIND_PARTIAL_LINE", "KIND_TORN_WRITE", "KIND_TRANSIENT",
@@ -67,8 +70,6 @@ __all__ = [
 
 # -- injection sites ----------------------------------------------------------
 
-SITE_CHECKPOINT_SAVE = "checkpoint.save"
-SITE_CHECKPOINT_LOAD = "checkpoint.load"
 SITE_CHUNK_SAVE = "chunk.save"
 SITE_CHUNK_LOAD = "chunk.load"
 SITE_JOURNAL_RECORD = "journal.record"
@@ -98,8 +99,6 @@ KIND_HANG = "hang"
 
 #: Which kinds are meaningful at which site.
 KINDS_BY_SITE: Dict[str, Tuple[str, ...]] = {
-    SITE_CHECKPOINT_SAVE: (KIND_TORN_WRITE,),
-    SITE_CHECKPOINT_LOAD: (KIND_TRUNCATE, KIND_CORRUPT),
     SITE_CHUNK_SAVE: (KIND_TORN_WRITE,),
     SITE_CHUNK_LOAD: (KIND_TRUNCATE, KIND_CORRUPT),
     SITE_JOURNAL_RECORD: (KIND_PARTIAL_LINE, KIND_KILL),

@@ -7,13 +7,13 @@ frame *k* left resident.  Per-frame results are counter deltas, so the
 sequence exposes the cold-start penalty of frame 0 and the steady-state
 behaviour afterwards.
 
-The simulator speaks every tile-stream dataflow: ``stream="batch"``
+The simulator speaks both tile-stream dataflows: ``stream="batch"``
 (default) materializes each frame's trace, ``"streaming"`` renders and
 replays one tile group at a time so a long animation never holds a
-whole frame, and ``"overlap"`` renders frame *k*'s later tiles in a
-worker while this process replays its earlier ones.  Warm-cache frame
-deltas are unaffected — the drivers deliver identical tile sequences,
-so the hierarchy sees identical accesses in identical order.
+whole frame.  Either way an attached checkpoint store holds each frame
+as a chunk set keyed by its frame number.  Warm-cache frame deltas are
+unaffected — the drivers deliver identical tile sequences, so the
+hierarchy sees identical accesses in identical order.
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ from typing import List, Optional
 
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
-from repro.errors import TraceIntegrityError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.checkpoint import TraceCheckpointStore, trace_key
 from repro.sim.driver import FrameRenderer, FrameTrace
 from repro.sim.replay import RunResult, TraceReplayer
-from repro.sim.stream import (
-    FrameSource,
-    OverlappedTileStream,
-    StreamingTileStream,
-    check_driver,
-)
+from repro.sim.stream import StreamingTileStream, check_driver
 from repro.texture.sampler import Sampler
 from repro.workloads.animation import Animation
 
@@ -88,39 +82,43 @@ class AnimationSimulator:
         self.replayer = TraceReplayer(config)
         self.checkpoint_store = checkpoint_store
         self.stream = check_driver(stream)
-        #: Functional renders actually performed (checkpoint hits skip it).
+        #: Functional renders actually performed (checkpoint hits skip
+        #: it); a streamed frame that rendered any tile counts as one.
         self.renders_performed = 0
 
     def _frame_trace(self, animation: Animation, frame: int) -> FrameTrace:
         """One frame's trace, via the checkpoint store when attached.
 
-        A corrupted checkpoint is discarded and the frame re-rendered;
-        resuming a killed multi-frame campaign therefore re-renders only
-        frames that never finished pass 1.
+        A damaged checkpoint is a cache miss; resuming a killed
+        multi-frame campaign therefore re-renders only frames that
+        never finished pass 1.
         """
-        key = None
-        if self.checkpoint_store is not None:
-            key = trace_key(self.config, animation.recipe, frame=frame)
-            if self.checkpoint_store.contains(key):
-                try:
-                    return self.checkpoint_store.load(key)
-                except TraceIntegrityError:
-                    pass
+        if self.checkpoint_store is None:
+            return self._render(animation, frame)
+        return self.checkpoint_store.load_or_render(
+            trace_key(self.config, animation.recipe, frame=frame),
+            lambda: self._render(animation, frame),
+        )
+
+    def _render(self, animation: Animation, frame: int) -> FrameTrace:
         workload = animation.recipe.build(self.config, frame=frame)
         trace, _ = self.renderer.render(workload)
         self.renders_performed += 1
-        if key is not None:
-            self.checkpoint_store.save(key, trace)
         return trace
 
-    def _frame_stream(self, animation: Animation, frame: int):
+    def _frame_stream(
+        self, animation: Animation, frame: int
+    ) -> StreamingTileStream:
         """One frame's streamed dataflow (never materializes the trace)."""
-        if self.stream == "overlap":
-            return OverlappedTileStream(FrameSource(
-                config=self.config, recipe=animation.recipe, frame=frame,
-            ))
+        chunk_store = None
+        if self.checkpoint_store is not None:
+            chunk_store = self.checkpoint_store.chunks(
+                trace_key(self.config, animation.recipe, frame=frame)
+            )
         workload = animation.recipe.build(self.config, frame=frame)
-        return StreamingTileStream(self.renderer, workload)
+        return StreamingTileStream(
+            self.renderer, workload, chunk_store=chunk_store
+        )
 
     def run(
         self,
@@ -143,6 +141,7 @@ class AnimationSimulator:
                 run = self.replayer.run_stream(
                     stream, design, hierarchy=hierarchy
                 )
-                self.renders_performed += 1
+                if stream.tiles_rendered:
+                    self.renders_performed += 1
             result.frames.append(run)
         return result

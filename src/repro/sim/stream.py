@@ -11,7 +11,7 @@ seam.
 
 A **tile stream** delivers :class:`TileWorkUnit` records — one per tile,
 in the replay's traversal order, the frame's vertex/Parameter-Buffer
-prologue riding the first unit — through three interchangeable drivers:
+prologue riding the first unit — through two interchangeable drivers:
 
 * :class:`BatchTileStream` — walks a fully materialized trace.  Current
   behaviour, kept as the executable specification; ``TraceReplayer.run``
@@ -22,17 +22,12 @@ prologue riding the first unit — through three interchangeable drivers:
   :class:`~repro.sim.checkpoint.TileChunkStore` attached, rendered tiles
   are persisted (and reloaded) one chunk at a time, restoring the
   render-once economy of the batch path without ever holding the frame.
-* :class:`OverlappedTileStream` — pass 1 runs in a worker process
-  feeding a bounded queue while the consumer replays earlier tiles,
-  hiding render latency behind replay.  It reuses the sweep pool's
-  process-safety plumbing: a dead worker raises the same
-  transient-flagged :class:`~repro.errors.WorkerCrashError`, a stalled
-  one the same :class:`~repro.errors.TaskTimeoutError`, and teardown
-  uses the same bounded join-then-terminate.
+  The chunk set is the same one a batch checkpoint saves, so either
+  driver resumes from the other's frames.
 
-All three drivers yield bit-identical unit sequences for the same frame
-and order, which is what makes ``RunResult`` equality across
-``--stream batch|streaming|overlap`` a testable invariant rather than an
+Both drivers yield bit-identical unit sequences for the same frame and
+order, which is what makes ``RunResult`` equality across
+``--stream batch|streaming`` a testable invariant rather than an
 aspiration.
 
 Usage::
@@ -45,14 +40,11 @@ Usage::
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
-from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord
-from repro.errors import ConfigError, ReplayError, TaskTimeoutError, WorkerCrashError
+from repro.errors import ConfigError
+from repro.sim.checkpoint import TraceDigestBuilder
 from repro.sim.driver import (
     DEFAULT_GROUP_TILES,
     FrameRenderer,
@@ -60,25 +52,15 @@ from repro.sim.driver import (
     RenderStats,
     TileTraceEntry,
 )
-from repro.workloads.recipe import BuiltWorkload, SceneRecipe
+from repro.workloads.recipe import BuiltWorkload
 
 #: Stream driver names accepted by ``--stream`` and the orchestration
 #: layers.  Order matters only for help text.
-STREAM_DRIVERS = ("batch", "streaming", "overlap")
+STREAM_DRIVERS = ("batch", "streaming")
 
 #: Shared empty prologue for every unit after the first (module-level so
 #: the hot generators never allocate a tuple per tile).
 _NO_LINES: Tuple[int, ...] = ()
-
-#: Bounded depth of the overlap driver's tile queue: the producer blocks
-#: once this many finished tiles are waiting, so peak memory stays
-#: O(queue depth + one footprint group) no matter how far render runs
-#: ahead of replay.
-DEFAULT_QUEUE_DEPTH = 32
-
-#: Seconds the overlap consumer waits between liveness checks on the
-#: render worker while the queue is empty.
-_POLL_INTERVAL_S = 0.2
 
 
 class TileWorkUnit(NamedTuple):
@@ -104,28 +86,6 @@ def check_driver(driver: str) -> str:
             f"choose from {', '.join(STREAM_DRIVERS)}"
         )
     return driver
-
-
-@dataclass(frozen=True)
-class FrameSource:
-    """Picklable recipe for re-rendering one frame in another process.
-
-    The overlap driver ships this (not the built workload) to its render
-    worker: scene construction is deterministic from the recipe, so the
-    worker rebuilds an identical frame from a few hundred bytes instead
-    of pickling meshes and textures across the process boundary.
-    """
-
-    config: GPUConfig
-    recipe: SceneRecipe
-    frame: int = 0
-    engine: str = "fast"
-
-    def build(self) -> BuiltWorkload:
-        return self.recipe.build(self.config, frame=self.frame)
-
-    def renderer(self) -> FrameRenderer:
-        return FrameRenderer(self.config, engine=self.engine)
 
 
 class BatchTileStream:
@@ -195,8 +155,8 @@ class StreamingTileStream:
         self.chunk_store = chunk_store
         self._order: Sequence[TileCoord] = ()
         self._pass = None
-        #: Frame-level stats, available after full iteration (pure
-        #: streaming only; on the chunk-load path stats stay ``None``).
+        #: Frame-level stats, available after a full iteration that
+        #: rendered every tile (``None`` when any tile came from a chunk).
         self.stats: Optional[RenderStats] = None
         #: Tiles actually rendered (vs loaded from the chunk store).
         self.tiles_rendered = 0
@@ -255,13 +215,15 @@ class StreamingTileStream:
     def _chunked_units(self) -> Iterator[TileWorkUnit]:
         """Tile-granular checkpointing: load chunks, render the misses.
 
-        Every tile flows through the store's running digest, so after
-        the full traversal the store can seal (or re-verify) the frame
-        meta whose hash chain terminates in the trace digest.
+        Every tile flows through a running :class:`TraceDigestBuilder`,
+        so after the full traversal the store can seal (or re-verify)
+        the frame whose hash chain terminates in the trace digest.  A
+        traversal that rendered every tile also seals the frame's
+        stats, which makes its chunk set a batch checkpoint too.
         """
         store = self.chunk_store
         vertex_lines = self._prologue()
-        frame = store.begin_frame(self.renderer.config, vertex_lines)
+        frame = TraceDigestBuilder(self.renderer.config, vertex_lines)
         step = 0
         for tile in self._order:
             loaded = store.load_tile(tile)
@@ -277,158 +239,6 @@ class StreamingTileStream:
             else:
                 yield TileWorkUnit(tile, step, entry, vertex_lines)
             step += 1
-        frame.seal()
-
-
-def _render_to_queue(source: FrameSource, order, group_size, out_queue) -> None:
-    """Overlap driver's producer: render tiles into the bounded queue.
-
-    Runs in a worker process.  Any failure — including an injected kill
-    arriving through a fork-inherited fault plan — is reported as a
-    final ``("error", repr)`` message rather than a silent death, so the
-    consumer can distinguish a render bug from a crashed worker.
-    """
-    try:
-        tile_pass = source.renderer().begin_tiles(source.build())
-        out_queue.put(("vertex", tile_pass.vertex_lines))
-        for tile, entry in tile_pass.iter_tiles(order, group_size):
-            out_queue.put(("tile", tile, entry))
-        out_queue.put(("done", tile_pass.finish()))
-    except BaseException as error:  # noqa: BLE001 — must cross the process boundary
-        try:
-            out_queue.put(("error", f"{type(error).__name__}: {error}"))
-        except Exception:
-            pass  # queue torn down underneath us; the exit code tells the story
-        raise
-
-
-class OverlappedTileStream:
-    """Bounded-queue overlap: render ahead in a worker, replay behind.
-
-    The consumer replays tile *k* while the producer process renders
-    tiles *k+1 .. k+depth*; the queue bound keeps memory O(depth) and
-    provides backpressure when replay is the slower side.  Worker death
-    and hangs surface as the sweep pool's transient-flagged
-    :class:`WorkerCrashError` / :class:`TaskTimeoutError`, and teardown
-    mirrors ``_TaskPool.close``: bounded join, then terminate.
-    """
-
-    driver = "overlap"
-
-    def __init__(
-        self,
-        source: FrameSource,
-        group_size: int = DEFAULT_GROUP_TILES,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        timeout_s: Optional[float] = None,
-    ):
-        if queue_depth < 1:
-            raise ConfigError(
-                f"queue_depth must be >= 1, got {queue_depth}"
-            )
-        self.source = source
-        self.group_size = group_size
-        self.queue_depth = queue_depth
-        self.timeout_s = timeout_s
-        self._order: Sequence[TileCoord] = ()
-        self._process: Optional[multiprocessing.Process] = None
-        self._queue = None
-        self._vertex_lines: Sequence[int] = _NO_LINES
-        #: Frame-level stats, delivered by the producer's final message.
-        self.stats: Optional[RenderStats] = None
-
-    def open(self, order: Sequence[TileCoord]) -> "OverlappedTileStream":
-        """Spawn the render worker; returns ``self`` (a context manager)."""
-        self._order = list(order)
-        self._queue = multiprocessing.Queue(maxsize=self.queue_depth)
-        self._process = multiprocessing.Process(
-            target=_render_to_queue,
-            args=(self.source, self._order, self.group_size, self._queue),
-            daemon=True,
-        )
-        self._process.start()
-        message = self._next_message()
-        if message[0] != "vertex":
-            raise ReplayError(
-                f"overlap render worker opened with {message[0]!r}, "
-                "expected the vertex prologue"
-            )
-        self._vertex_lines = message[1]
-        return self
-
-    def __enter__(self) -> "OverlappedTileStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _next_message(self):
-        """One message off the queue, with liveness and deadline checks."""
-        process = self._process
-        waited = 0.0
-        while True:
-            try:
-                message = self._queue.get(timeout=_POLL_INTERVAL_S)
-            except queue_module.Empty:
-                waited += _POLL_INTERVAL_S
-                if self.timeout_s is not None and waited >= self.timeout_s:
-                    raise TaskTimeoutError(
-                        f"overlap render worker produced nothing for "
-                        f"{self.timeout_s:.6g} s"
-                    ) from None
-                if not process.is_alive():
-                    raise WorkerCrashError(
-                        "overlap render worker died without reporting "
-                        f"an error (exit code {process.exitcode})"
-                    ) from None
-                continue
-            if message[0] == "error":
-                raise ReplayError(
-                    f"overlap render worker failed: {message[1]}"
-                )
-            return message
-
-    def __iter__(self) -> Iterator[TileWorkUnit]:
-        if self._process is None:
-            raise ReplayError(
-                "OverlappedTileStream must be open()ed before iteration"
-            )
-        vertex_lines = self._vertex_lines
-        expected = len(self._order)
-        step = 0
-        while step < expected:
-            message = self._next_message()
-            kind = message[0]
-            if kind == "done":
-                raise ReplayError(
-                    f"overlap render worker finished after "
-                    f"{step}/{expected} tiles"
-                )
-            tile = message[1]
-            entry = message[2]
-            if step:
-                yield TileWorkUnit(tile, step, entry, _NO_LINES)
-            else:
-                yield TileWorkUnit(tile, step, entry, vertex_lines)
-            step += 1
-        message = self._next_message()
-        if message[0] == "done":
-            self.stats = message[1]
-
-    def close(self) -> None:
-        """Bounded join, then terminate — a wedged worker never pins us."""
-        process = self._process
-        if process is None:
-            return
-        self._process = None
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=1.0)
-        queue = self._queue
-        self._queue = None
-        if queue is not None:
-            queue.cancel_join_thread()
-            queue.close()
+        if self.tiles_rendered == step:
+            self.stats = self._tile_pass().finish()
+        store.seal(frame, self.stats)

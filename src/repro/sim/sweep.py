@@ -50,7 +50,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dtexl import DTexLConfig
 from repro.errors import (
-    CheckpointError,
     ConfigError,
     TaskTimeoutError,
     WorkerCrashError,
@@ -60,13 +59,12 @@ from repro.sim.driver import FrameRenderer
 from repro.sim.export import write_run_manifest
 from repro.sim.checkpoint import (
     SweepProgress,
-    TileChunkStore,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
     trace_key,
 )
-from repro.sim.experiment import CHUNK_SUBDIR, ExperimentRunner, SuiteResult
+from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
 from repro.sim.resilience import (
     FailureRecord,
@@ -103,49 +101,37 @@ MANIFEST_FILENAME = "manifest.json"
 _WORKER_TRACES: Dict[Tuple[str, str], object] = {}
 
 
-def _worker_trace(store_dir: str, key: str, config=None, alias=None):
+def _worker_trace(store_dir: str, key: str, config, alias: str):
     """Load one trace inside a worker, self-healing a broken store.
 
-    A :class:`CheckpointError` (truncated/corrupt/unreadable ``.trace``
-    file) is treated as a cache miss: when the worker knows the game it
-    re-renders pass 1 locally and re-saves the checkpoint for its
-    siblings, instead of failing the task.
+    A damaged checkpoint is a cache miss, exactly as in the parent: the
+    worker re-renders pass 1 locally and re-saves the chunk set for its
+    siblings instead of failing the task.
     """
     cache_key = (store_dir, key)
     trace = _WORKER_TRACES.get(cache_key)
-    if trace is not None:
-        return trace
-    store = TraceCheckpointStore(store_dir)
-    try:
-        trace = store.load(key)
-    except CheckpointError:
-        if config is None or alias is None:
-            raise
-        workload = build_game(alias, config)
-        trace, _ = FrameRenderer(config).render(workload)
-        try:
-            store.save(key, trace)
-        except OSError:
-            pass  # the re-render is still good; siblings heal themselves
-    _WORKER_TRACES[cache_key] = trace
+    if trace is None:
+        trace = TraceCheckpointStore(store_dir).load_or_render(
+            key, lambda: FrameRenderer(config).render(
+                build_game(alias, config)
+            )[0],
+        )
+        _WORKER_TRACES[cache_key] = trace
     return trace
 
 
 def _worker_stream(store_dir: str, key: str, config, alias: str):
     """Build one streamed replay's tile stream inside a worker.
 
-    Chunks live under the same ``chunks/<trace key>`` layout the serial
+    Chunks live in the same ``chunks/<trace key>`` set the serial
     runner uses, so serial and parallel streaming campaigns share (and
     resume from) the same tile-granular cache.  Concurrent workers
     racing to chunk the same game are safe: saves are atomic per tile
     and every writer produces the identical entry.
     """
-    workload = build_game(alias, config)
-    chunk_store = TileChunkStore(
-        Path(store_dir) / CHUNK_SUBDIR / key, key
-    )
     return StreamingTileStream(
-        FrameRenderer(config), workload, chunk_store=chunk_store
+        FrameRenderer(config), build_game(alias, config),
+        chunk_store=TraceCheckpointStore(store_dir).chunks(key),
     )
 
 
@@ -174,11 +160,9 @@ def _replay_task(
     failure records match bit-for-bit.
 
     ``stream_driver`` is ``"batch"`` (load the whole trace, replay it)
-    or ``"streaming"`` (render/load tiles one chunk at a time) — a
-    runner configured for ``"overlap"`` degrades to ``"streaming"``
-    here, because each worker is already its own process and nesting a
-    render child under it buys nothing.  Either way the result is
-    bit-identical; only the memory/time profile differs.
+    or ``"streaming"`` (render/load tiles one chunk at a time).  Either
+    way the result is bit-identical; only the memory/time profile
+    differs.
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -636,10 +620,6 @@ class DesignSweep:
             manifest.phase_seconds[phase] = now - phase_start
             phase_start = now
 
-        # A runner configured for "overlap" degrades to "streaming" in
-        # workers: each task already runs in its own process, so nesting
-        # a render child under it buys no further overlap.
-        stream_driver = "batch" if runner.stream == "batch" else "streaming"
         try:
             if pending:
                 store = runner.checkpoint_store
@@ -647,7 +627,7 @@ class DesignSweep:
                     temp_dir = tempfile.mkdtemp(prefix="repro-sweep-traces-")
                     store = TraceCheckpointStore(temp_dir)
                 store_dir = str(store.directory)
-                if stream_driver == "batch":
+                if runner.stream == "batch":
                     keys = runner.prepare_traces(store)
                     for alias, key in keys.items():
                         cache_key = (store_dir, key)
@@ -676,7 +656,7 @@ class DesignSweep:
                         (_BASELINE_TASK, alias),
                         (store_dir, keys[alias], config, self.baseline,
                          params, budget, engine, self.baseline.name, alias,
-                         retry_policy, False, stream_driver),
+                         retry_policy, False, runner.stream),
                     )
                 for design in pending:
                     for alias in runner.games:
@@ -684,7 +664,7 @@ class DesignSweep:
                             (design.name, alias),
                             (store_dir, keys[alias], config, design,
                              params, budget, engine, design.name, alias,
-                             retry_policy, True, stream_driver),
+                             retry_policy, True, runner.stream),
                         )
                 stamp("pool_startup")
                 # Baseline first, in games order: the first failing

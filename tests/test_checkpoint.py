@@ -7,11 +7,14 @@ import pytest
 
 from repro.core.dtexl import BASELINE, DTEXL_BEST
 from repro.errors import TraceIntegrityError
+from repro.sim import checkpoint, sweep
 from repro.sim.checkpoint import (
+    CHUNK_SUBDIR,
     SweepProgress,
     TraceCheckpointStore,
     campaign_key,
     config_hash,
+    trace_digest,
     trace_key,
     verify_trace,
 )
@@ -79,52 +82,96 @@ class TestRoundTrip:
     def test_missing_checkpoint_raises(self, store):
         with pytest.raises(TraceIntegrityError):
             store.load("no-such-key")
+        # A miss creates nothing, so it stays a miss on a read-only store.
+        assert not (store.directory / CHUNK_SUBDIR / "no-such-key").exists()
+
+    def test_load_preserves_render_order_and_equality(
+        self, store, tiny_config, game_trace
+    ):
+        key = trace_key(tiny_config, GAMES["SWa"].recipe)
+        store.save(key, game_trace)
+        loaded = store.load(key)
+        assert loaded == game_trace
+        assert list(loaded.tiles) == list(game_trace.tiles)
 
 
 class TestTamperDetection:
+    """A checkpoint is a sealed chunk set; damage to any part of it fails."""
+
+    TILE = (1, 1)
+
     def _saved(self, store, tiny_config, trace):
         key = trace_key(tiny_config, GAMES["SWa"].recipe)
         path = store.save(key, trace)
         return key, path
 
-    def test_flipped_payload_byte(self, store, tiny_config, game_trace):
+    def _chunk(self, store, key):
+        return store.chunks(key).chunk_path(self.TILE)
+
+    def test_save_writes_a_sealed_chunk_set(
+        self, store, tiny_config, game_trace
+    ):
         key, path = self._saved(store, tiny_config, game_trace)
-        blob = bytearray(path.read_bytes())
+        assert path == store.directory / CHUNK_SUBDIR / key / "frame.json"
+        chunks = sorted(path.parent.glob("*.chunk"))
+        assert len(chunks) == tiny_config.tiles_x * tiny_config.tiles_y
+        assert not list(store.directory.rglob("*.trace"))
+        assert store.chunks(key).digest() == trace_digest(game_trace)
+
+    def test_flipped_payload_byte(self, store, tiny_config, game_trace):
+        key, _ = self._saved(store, tiny_config, game_trace)
+        chunk = self._chunk(store, key)
+        blob = bytearray(chunk.read_bytes())
         blob[-10] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(TraceIntegrityError, match="hash mismatch"):
+        chunk.write_bytes(bytes(blob))
+        with pytest.raises(TraceIntegrityError, match="payload hash"):
             store.load(key)
 
     def test_truncated_payload(self, store, tiny_config, game_trace):
-        key, path = self._saved(store, tiny_config, game_trace)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+        key, _ = self._saved(store, tiny_config, game_trace)
+        chunk = self._chunk(store, key)
+        blob = chunk.read_bytes()
+        chunk.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TraceIntegrityError):
             store.load(key)
 
     def test_corrupt_header(self, store, tiny_config, game_trace):
-        key, path = self._saved(store, tiny_config, game_trace)
-        blob = path.read_bytes()
-        path.write_bytes(b"not json at all\n" + blob.split(b"\n", 1)[1])
+        key, _ = self._saved(store, tiny_config, game_trace)
+        chunk = self._chunk(store, key)
+        blob = chunk.read_bytes()
+        chunk.write_bytes(b"not json at all\n" + blob.split(b"\n", 1)[1])
         with pytest.raises(TraceIntegrityError):
             store.load(key)
 
     def test_key_mismatch(self, store, tiny_config, game_trace):
         key, path = self._saved(store, tiny_config, game_trace)
         other = "0" * 64
-        path.rename(store.path_for(other))
-        with pytest.raises(TraceIntegrityError, match="written for key"):
+        path.parent.rename(path.parent.with_name(other))
+        with pytest.raises(TraceIntegrityError, match="key"):
             store.load(other)
 
     def test_wrong_version(self, store, tiny_config, game_trace):
         key, path = self._saved(store, tiny_config, game_trace)
-        header_line, payload = path.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        header["version"] = 99
-        path.write_bytes(
-            json.dumps(header, sort_keys=True).encode() + b"\n" + payload
-        )
+        meta = json.loads(path.read_text())
+        meta["version"] = 99
+        path.write_text(json.dumps(meta, sort_keys=True))
         with pytest.raises(TraceIntegrityError, match="version"):
+            store.load(key)
+
+    def test_malformed_seal_config(self, store, tiny_config, game_trace):
+        key, path = self._saved(store, tiny_config, game_trace)
+        meta = json.loads(path.read_text())
+        meta["config"] = [1, 2]
+        path.write_text(json.dumps(meta, sort_keys=True))
+        with pytest.raises(TraceIntegrityError, match="malformed"):
+            store.load(key)
+
+    def test_tampered_seal_digest(self, store, tiny_config, game_trace):
+        key, path = self._saved(store, tiny_config, game_trace)
+        meta = json.loads(path.read_text())
+        meta["digest"] = "0" * 64
+        path.write_text(json.dumps(meta, sort_keys=True))
+        with pytest.raises(TraceIntegrityError, match="sealed digest"):
             store.load(key)
 
 
@@ -168,28 +215,85 @@ class TestRunnerIntegration:
         assert second.renders_performed == 0
         assert result.per_game["SWa"] == first.run_suite(BASELINE).per_game["SWa"]
 
-    def test_corrupted_checkpoint_is_rerendered(self, tmp_path, tiny_config):
+    def _seeded(self, tmp_path, tiny_config):
         store = TraceCheckpointStore(tmp_path / "traces")
         first = ExperimentRunner(
             tiny_config, games=["SWa"], checkpoint_store=store
         )
-        first.trace_for("SWa")
+        trace = first.trace_for("SWa")
         key = trace_key(tiny_config, GAMES["SWa"].recipe)
-        path = store.path_for(key)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
+        return store, trace, store.chunks(key).chunk_path((1, 1))
+
+    def _rerendered(self, store, tiny_config, trace):
+        """The runner treats the damage as a miss and heals the store."""
         second = ExperimentRunner(
             tiny_config, games=["SWa"], checkpoint_store=store
         )
-        second.trace_for("SWa")
+        assert second.trace_for("SWa") == trace
         assert second.renders_performed == 1
-        # ... and the re-render healed the checkpoint.
         third = ExperimentRunner(
             tiny_config, games=["SWa"], checkpoint_store=store
         )
-        third.trace_for("SWa")
+        assert third.trace_for("SWa") == trace
         assert third.renders_performed == 0
+
+    def test_corrupted_checkpoint_is_rerendered(self, tmp_path, tiny_config):
+        store, trace, chunk = self._seeded(tmp_path, tiny_config)
+        blob = bytearray(chunk.read_bytes())
+        blob[-1] ^= 0xFF
+        chunk.write_bytes(bytes(blob))
+        key = trace_key(tiny_config, GAMES["SWa"].recipe)
+        with pytest.raises(TraceIntegrityError):
+            store.load(key)
+        self._rerendered(store, tiny_config, trace)
+
+    def test_deleted_chunk_is_rerendered(self, tmp_path, tiny_config):
+        store, trace, chunk = self._seeded(tmp_path, tiny_config)
+        chunk.unlink()
+        key = trace_key(tiny_config, GAMES["SWa"].recipe)
+        with pytest.raises(TraceIntegrityError, match="missing"):
+            store.load(key)
+        self._rerendered(store, tiny_config, trace)
+
+
+class TestFailedRewrite:
+    """A re-render whose checkpoint rewrite fails still returns its trace."""
+
+    @pytest.fixture()
+    def unwritable(self, tmp_path, tiny_config, game_trace, monkeypatch):
+        """A store whose chunk set is damaged and cannot be rewritten."""
+        store = TraceCheckpointStore(tmp_path / "traces")
+        key = trace_key(tiny_config, GAMES["SWa"].recipe)
+        store.save(key, game_trace)
+        store.chunks(key).chunk_path((0, 0)).unlink()
+
+        def disk_full(path, *parts):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "_atomic_write", disk_full)
+        return store, key
+
+    def test_runner_warns_and_returns_the_render(
+        self, unwritable, tiny_config, game_trace
+    ):
+        store, _ = unwritable
+        runner = ExperimentRunner(
+            tiny_config, games=["SWa"], checkpoint_store=store
+        )
+        with pytest.warns(RuntimeWarning, match="could not checkpoint"):
+            assert runner.trace_for("SWa") == game_trace
+        assert runner.renders_performed == 1
+
+    def test_worker_warns_and_returns_the_render(
+        self, unwritable, tiny_config, game_trace, monkeypatch
+    ):
+        store, key = unwritable
+        monkeypatch.setattr(sweep, "_WORKER_TRACES", {})
+        with pytest.warns(RuntimeWarning, match="could not checkpoint"):
+            trace = sweep._worker_trace(
+                str(store.directory), key, tiny_config, "SWa"
+            )
+        assert trace == game_trace
 
 
 class TestMultiFrameCheckpoints:

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.lint.sanitizer import trace_digest
 from repro.config import GPUConfig
 from repro.errors import ConfigError
 from repro.geometry.mesh import (
@@ -32,6 +31,7 @@ from repro.geometry.mesh import (
 )
 from repro.geometry.transform import perspective
 from repro.geometry.vec import Vec2, Vec3
+from repro.sim.checkpoint import trace_digest
 from repro.sim.driver import ENGINES, FrameRenderer
 from repro.texture.sampler import FilterMode, Sampler
 from repro.texture.texture import TextureAllocator

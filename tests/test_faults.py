@@ -86,7 +86,7 @@ class TestFaultSpec:
 
     def test_kind_must_fit_site(self):
         with pytest.raises(ConfigError):
-            FaultSpec(site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_HANG)
+            FaultSpec(site=faults.SITE_CHUNK_SAVE, kind=faults.KIND_HANG)
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigError):
@@ -162,9 +162,9 @@ class TestTrigger:
 
     def test_data_kind_returned_and_recorded(self):
         plan = self.plan(FaultSpec(
-            site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
+            site=faults.SITE_CHUNK_SAVE, kind=faults.KIND_TORN_WRITE,
         ))
-        kind = plan.trigger(faults.SITE_CHECKPOINT_SAVE, key="k")
+        kind = plan.trigger(faults.SITE_CHUNK_SAVE, key="k")
         assert kind == faults.KIND_TORN_WRITE
         assert [e.kind for e in plan.fired] == [faults.KIND_TORN_WRITE]
 
@@ -215,11 +215,11 @@ class TestTrigger:
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(site=faults.SITE_REPLAY, kind=faults.KIND_TRANSIENT),
             FaultSpec(
-                site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
+                site=faults.SITE_CHUNK_LOAD, kind=faults.KIND_TRUNCATE,
             ),
         ))
-        kept = plan.for_sites({faults.SITE_CHECKPOINT_LOAD})
-        assert [s.site for s in kept.specs] == [faults.SITE_CHECKPOINT_LOAD]
+        kept = plan.for_sites({faults.SITE_CHUNK_LOAD})
+        assert [s.site for s in kept.specs] == [faults.SITE_CHUNK_LOAD]
         assert kept.seed == plan.seed
 
 
@@ -227,7 +227,7 @@ class TestCheckpointFaults:
     def test_torn_write_detected_on_load(self, tmp_path, tiny_trace):
         store = TraceCheckpointStore(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(
-            site=faults.SITE_CHECKPOINT_SAVE, kind=faults.KIND_TORN_WRITE,
+            site=faults.SITE_CHUNK_SAVE, kind=faults.KIND_TORN_WRITE,
         ),))
         with faults.armed(plan):
             store.save("k", tiny_trace)
@@ -241,7 +241,7 @@ class TestCheckpointFaults:
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
-            site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
+            site=faults.SITE_CHUNK_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         with faults.armed(plan), pytest.raises(CheckpointError):
             store.load("k")
@@ -250,10 +250,10 @@ class TestCheckpointFaults:
         store = TraceCheckpointStore(tmp_path)
         store.save("k", tiny_trace)
         plan = FaultPlan(specs=(FaultSpec(
-            site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_CORRUPT,
+            site=faults.SITE_CHUNK_LOAD, kind=faults.KIND_CORRUPT,
         ),))
         with faults.armed(plan), pytest.raises(
-            TraceIntegrityError, match="hash mismatch"
+            TraceIntegrityError, match="payload hash"
         ):
             store.load("k")
 
@@ -266,7 +266,7 @@ class TestCheckpointFaults:
         assert seeder.renders_performed == 1
 
         plan = FaultPlan(specs=(FaultSpec(
-            site=faults.SITE_CHECKPOINT_LOAD, kind=faults.KIND_TRUNCATE,
+            site=faults.SITE_CHUNK_LOAD, kind=faults.KIND_TRUNCATE,
         ),))
         healer = ExperimentRunner(
             tiny_config, games=[GAME], checkpoint_store=store

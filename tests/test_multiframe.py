@@ -5,6 +5,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST
 from repro.errors import ConfigError
+from repro.sim.checkpoint import TraceCheckpointStore
 from repro.sim.multiframe import AnimationResult, AnimationSimulator
 from repro.workloads.animation import Animation
 from repro.workloads.recipe import SceneRecipe
@@ -136,13 +137,6 @@ class TestStreamedAnimation:
         )
         assert streamed.frames == batch.frames
 
-    def test_overlap_matches_batch(self, config, animation):
-        batch = AnimationSimulator(config).run(animation, DTEXL_BEST)
-        overlapped = AnimationSimulator(config, stream="overlap").run(
-            animation, DTEXL_BEST
-        )
-        assert overlapped.frames == batch.frames
-
     def test_streaming_cold_mode_matches_batch(self, config, animation):
         batch = AnimationSimulator(config).run(
             animation, BASELINE, cold_caches_each_frame=True
@@ -165,6 +159,23 @@ class TestStreamedAnimation:
         sim = AnimationSimulator(config, stream="streaming")
         sim.run(animation, BASELINE)
         assert sim.renders_performed == animation.num_frames
+
+    def test_second_streamed_run_over_store_renders_no_tiles(
+        self, tmp_path, config, animation
+    ):
+        """A streamed animation checkpoints each frame's chunk set."""
+        store = TraceCheckpointStore(tmp_path / "traces")
+        first = AnimationSimulator(
+            config, checkpoint_store=store, stream="streaming"
+        )
+        result1 = first.run(animation, DTEXL_BEST)
+        assert first.renders_performed == animation.num_frames
+        second = AnimationSimulator(
+            config, checkpoint_store=store, stream="streaming"
+        )
+        result2 = second.run(animation, DTEXL_BEST)
+        assert second.renders_performed == 0  # no frame rendered a tile
+        assert result2.frames == result1.frames
 
     def test_unknown_stream_rejected(self, config):
         with pytest.raises(ConfigError, match="unknown stream driver"):

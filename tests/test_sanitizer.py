@@ -15,10 +15,11 @@ import json
 
 import pytest
 
-from repro.analysis.lint import TraceSanitizer, Violation, trace_digest
+from repro.analysis.lint import TraceSanitizer, Violation
 from repro.cli import main
 from repro.core.dtexl import BASELINE, DTEXL_BEST, PAPER_CONFIGURATIONS
 from repro.errors import InvariantViolationError
+from repro.sim.checkpoint import trace_digest
 from repro.sim.replay import TraceReplayer
 
 UPPER_BOUND = PAPER_CONFIGURATIONS["upper-bound"]

@@ -1,24 +1,22 @@
 """Differential tests for the streaming tile dataflow.
 
 The non-negotiable invariant of the render→replay seam refactor: the
-three stream drivers (``batch``, ``streaming``, ``overlap``) produce
-**bit-identical** :class:`RunResult`\\ s for the same frame and design
-point — over the whole game suite, over randomized recipes, across
-tile-traversal orders, and with or without the tile-granular chunk
-cache.  The batch driver is the executable specification; the other two
-only change *when* memory and time are spent.
+two stream drivers (``batch``, ``streaming``) produce **bit-identical**
+:class:`RunResult`\\ s for the same frame and design point — over the
+whole game suite, over randomized recipes, across tile-traversal
+orders, and with or without the tile-granular chunk cache.  The batch
+driver is the executable specification; streaming only changes *when*
+memory and time are spent.
 
 Also covered here: the :class:`TileWorkUnit` protocol (vertex prologue
 rides the first unit only), the :class:`TileChunkStore` hash chain
-terminating in the trace digest, chunk-corruption self-healing, and the
-overlap driver's crash/timeout surfacing.
+terminating in the trace digest, chunk-corruption self-healing, and
+streamed replays of batch-saved checkpoints.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,22 +24,19 @@ from hypothesis import strategies as st
 
 from repro.config import GPUConfig
 from repro.core.dtexl import BASELINE, DTEXL_BEST, DTexLConfig
-from repro.errors import (
-    ConfigError,
-    ReplayError,
-    TaskTimeoutError,
-    TraceIntegrityError,
-    WorkerCrashError,
+from repro.errors import ConfigError, TraceIntegrityError
+from repro.sim.checkpoint import (
+    TileChunkStore,
+    TraceCheckpointStore,
+    trace_digest,
+    trace_key,
 )
-from repro.sim.checkpoint import TileChunkStore, trace_digest
 from repro.sim.driver import FrameRenderer
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
 from repro.sim.stream import (
     STREAM_DRIVERS,
     BatchTileStream,
-    FrameSource,
-    OverlappedTileStream,
     StreamingTileStream,
     TileWorkUnit,
     check_driver,
@@ -81,12 +76,6 @@ def streaming_result(alias, design, replayer, chunk_store=None, group_size=5):
     return replayer.run_stream(stream, design), stream
 
 
-def overlap_result(alias, design, replayer, **kwargs):
-    source = FrameSource(config=TINY, recipe=GAMES[alias].recipe)
-    stream = OverlappedTileStream(source, **kwargs)
-    return replayer.run_stream(stream, design)
-
-
 # -- driver equivalence ------------------------------------------------------
 
 
@@ -97,18 +86,12 @@ class TestDriverEquivalence:
         streamed, _ = streaming_result(alias, DTEXL_BEST, replayer)
         assert streamed == batch
 
-    @pytest.mark.parametrize("alias", game_aliases())
-    def test_overlap_matches_batch_all_games(self, alias, replayer):
-        batch, _ = batch_result(alias, DTEXL_BEST, replayer)
-        assert overlap_result(alias, DTEXL_BEST, replayer) == batch
-
     @pytest.mark.parametrize("design", ORDER_POINTS, ids=lambda d: d.name)
     def test_orders_agree_across_drivers(self, design, replayer):
         """Traversal order is the consumer's; producers must not care."""
         batch, _ = batch_result("GTr", design, replayer)
         streamed, _ = streaming_result("GTr", design, replayer, group_size=3)
         assert streamed == batch
-        assert overlap_result("GTr", design, replayer, queue_depth=2) == batch
 
     @pytest.mark.parametrize("group_size", [0, 1, 3, 100])
     def test_group_size_never_changes_results(self, group_size, replayer):
@@ -159,7 +142,7 @@ class TestRandomRecipes:
 
 class TestProtocol:
     def test_stream_driver_names(self):
-        assert STREAM_DRIVERS == ("batch", "streaming", "overlap")
+        assert STREAM_DRIVERS == ("batch", "streaming")
         for name in STREAM_DRIVERS:
             assert check_driver(name) == name
 
@@ -195,17 +178,6 @@ class TestProtocol:
                 if unit.tile == bare:
                     assert len(unit.entry.fetch_lines) == 0
                     assert len(unit.entry.quads) == 0
-
-    def test_overlap_requires_open(self):
-        source = FrameSource(config=TINY, recipe=GAMES["SWa"].recipe)
-        stream = OverlappedTileStream(source)
-        with pytest.raises(ReplayError, match="open"):
-            list(stream)
-
-    def test_overlap_rejects_bad_queue_depth(self):
-        source = FrameSource(config=TINY, recipe=GAMES["SWa"].recipe)
-        with pytest.raises(ConfigError, match="queue_depth"):
-            OverlappedTileStream(source, queue_depth=0)
 
 
 # -- tile-granular chunk cache ----------------------------------------------
@@ -256,10 +228,8 @@ class TestChunkStore:
         store = TileChunkStore(tmp_path / "chunks", "k1")
         streaming_result("SWa", BASELINE, replayer, chunk_store=store)
         meta = store.frame_meta()
-        store.write_frame_meta(
-            "0" * 64, meta["vertex_lines"],
-            {}, meta["num_quads"], meta["pixels_shaded"],
-        )
+        meta["digest"] = "0" * 64
+        store.meta_path().write_text(json.dumps(meta))
         with pytest.raises(TraceIntegrityError):
             streaming_result(
                 "SWa", BASELINE, replayer,
@@ -272,38 +242,6 @@ class TestChunkStore:
         other = TileChunkStore(tmp_path / "chunks", "k2")
         assert other.load_tile((0, 0)) is None
         assert other.digest() is None
-
-
-# -- overlap fault surfacing -------------------------------------------------
-
-
-class TestOverlapFaults:
-    def test_killed_worker_raises_worker_crash(self, replayer):
-        source = FrameSource(config=TINY, recipe=GAMES["SWa"].recipe)
-        stream = OverlappedTileStream(source, queue_depth=1)
-        order = BASELINE.build_scheduler(TINY).tiles
-        with stream:
-            stream.open(order)
-            stream._process.kill()
-            with pytest.raises(WorkerCrashError, match="died"):
-                list(stream)
-
-    def test_stalled_worker_raises_timeout(self, replayer):
-        source = FrameSource(config=TINY, recipe=GAMES["SWa"].recipe)
-        stream = OverlappedTileStream(source, queue_depth=1, timeout_s=0.5)
-        order = BASELINE.build_scheduler(TINY).tiles
-        with stream:
-            stream.open(order)
-            os.kill(stream._process.pid, signal.SIGSTOP)
-            start = time.monotonic()
-            with pytest.raises((TaskTimeoutError, WorkerCrashError)):
-                list(stream)
-            assert time.monotonic() - start < 10.0
-
-    def test_errors_are_transient_flagged(self):
-        """Both overlap failure modes must be retryable, like the pool's."""
-        assert WorkerCrashError("x").transient
-        assert TaskTimeoutError("x").transient
 
 
 # -- experiment-runner integration -------------------------------------------
@@ -343,3 +281,56 @@ class TestRunnerStreams:
         )
         fresh.run("SWa", BASELINE)
         assert fresh.renders_performed == 0
+
+
+# -- one checkpoint format ---------------------------------------------------
+
+
+class TestSharedCheckpointFormat:
+    """A batch checkpoint and a streamed chunk set are the same thing."""
+
+    KEY = trace_key(TINY, GAMES["SWa"].recipe)
+
+    def test_streamed_replay_of_batch_checkpoint_renders_nothing(
+        self, tmp_path
+    ):
+        store = TraceCheckpointStore(tmp_path / "traces")
+        batch = ExperimentRunner(TINY, games=["SWa"], checkpoint_store=store)
+        expected = batch.run("SWa", DTEXL_BEST)
+        assert batch.renders_performed == 1
+        streaming = ExperimentRunner(
+            TINY, games=["SWa"], stream="streaming",
+            checkpoint_store=TraceCheckpointStore(tmp_path / "traces"),
+        )
+        stream = streaming.stream_for("SWa")
+        assert streaming.replayer.run_stream(stream, DTEXL_BEST) == expected
+        assert stream.tiles_rendered == 0
+        assert streaming.run("SWa", DTEXL_BEST) == expected
+        assert streaming.renders_performed == 0
+
+    def test_full_streamed_render_seals_a_batch_checkpoint(
+        self, tmp_path, replayer
+    ):
+        _, trace = batch_result("SWa", BASELINE, replayer)
+        store = TraceCheckpointStore(tmp_path / "traces")
+        streaming_result(
+            "SWa", BASELINE, replayer, chunk_store=store.chunks(self.KEY)
+        )
+        assert store.load(self.KEY) == trace
+
+    def test_partially_streamed_seal_is_a_batch_miss(
+        self, tmp_path, replayer
+    ):
+        """Without render stats the seal serves streaming, not batch."""
+        store = TraceCheckpointStore(tmp_path / "traces")
+        chunks = store.chunks(self.KEY)
+        streaming_result("SWa", BASELINE, replayer, chunk_store=chunks)
+        chunks.meta_path().unlink()
+        chunks.chunk_path((0, 0)).unlink()
+        _, stream = streaming_result(
+            "SWa", BASELINE, replayer, chunk_store=store.chunks(self.KEY)
+        )
+        assert stream.tiles_rendered == 1
+        assert stream.stats is None
+        with pytest.raises(TraceIntegrityError, match="render stats"):
+            store.load(self.KEY)
