@@ -7,7 +7,9 @@ the two tile-stream drivers, and writes the results as
 ``BENCH_replay.json`` at the repository root.  This is the evidence for
 the fast-engine speedup targets and the CI perf-smoke regression gate.
 The render leg also cross-checks the two engines' trace digests per
-game, so the perf evidence doubles as a bit-exactness smoke test.
+game, so the perf evidence doubles as a bit-exactness smoke test; it
+renders one SWa frame per non-bilinear filter mode with both engines
+too (``render.filters``), since the games above are all bilinear.
 
 The streaming leg spawns one subprocess per driver (``batch`` and
 ``streaming``; peak RSS is monotonic per process, so it cannot be
@@ -82,9 +84,14 @@ from repro.sim.experiment import ExperimentRunner  # noqa: E402
 from repro.sim.replay import ENGINES, TraceReplayer  # noqa: E402
 from repro.sim.stream import STREAM_DRIVERS  # noqa: E402
 from repro.sim.sweep import DesignSweep  # noqa: E402
+from repro.texture.sampler import FilterMode, Sampler  # noqa: E402
 from repro.workloads.games import GAMES, build_game, game_aliases  # noqa: E402
 
 DESIGNS = (BASELINE, DTEXL_BEST)
+
+#: The game whose frame the render leg renders under every
+#: non-bilinear filter mode.
+FILTER_GAME = "SWa"
 
 #: Acceptance target: streaming's peak-RSS growth must stay at least
 #: this many times below batch's on the largest game.  Widened by
@@ -154,6 +161,34 @@ def render_traces(config, games):
         "digests_match": digests_match,
     }
     return traces, fast_s, section
+
+
+def render_filters(config) -> dict:
+    """Both render engines on one frame per non-bilinear filter mode.
+
+    Returns ``{mode: {fast_seconds, reference_seconds, engine_speedup,
+    digests_match}}`` for the ``render.filters`` section.
+    """
+    workload = build_game(FILTER_GAME, config)
+    section = {}
+    for mode in FilterMode:
+        if mode is FilterMode.BILINEAR:
+            continue
+        seconds = {}
+        digests = set()
+        for engine in RENDER_ENGINES:
+            renderer = FrameRenderer(config, Sampler(mode), engine=engine)
+            t0 = time.perf_counter()
+            trace, _ = renderer.render(workload)
+            seconds[engine] = time.perf_counter() - t0
+            digests.add(trace_digest(trace))
+        section[mode.value] = {
+            "fast_seconds": round(seconds["fast"], 4),
+            "reference_seconds": round(seconds["reference"], 4),
+            "engine_speedup": round(seconds["reference"] / seconds["fast"], 3),
+            "digests_match": len(digests) == 1,
+        }
+    return section
 
 
 def time_engines(config, traces, repeats: int) -> dict:
@@ -313,6 +348,12 @@ def run_bench() -> dict:
           f"{render_section['reference_seconds']:.3f} s "
           f"({render_section['engine_speedup']:.2f}x, digests_match="
           f"{render_section['digests_match']})")
+    render_section["filters"] = render_filters(config)
+    for mode, leg in render_section["filters"].items():
+        print(f"render {FILTER_GAME} {mode}: fast {leg['fast_seconds']:.3f} s, "
+              f"reference {leg['reference_seconds']:.3f} s "
+              f"({leg['engine_speedup']:.2f}x, digests_match="
+              f"{leg['digests_match']})")
     replays = len(traces) * len(DESIGNS)
     total_quads = sum(t.total_quads for t in traces.values()) * len(DESIGNS)
     total_lines = (
@@ -390,8 +431,9 @@ def check_regression(result: dict, baseline_path: Path) -> int:
 
     Gates both the replay engine and the render front-end against the
     committed baseline, and fails outright if the render leg's
-    fast-vs-reference digest cross-check diverged — a perf win that
-    changes the trace is a correctness bug, not a speedup.
+    fast-vs-reference digest cross-check diverged for any game or filter
+    mode — a perf win that changes the trace is a correctness bug, not a
+    speedup.
     """
     baseline = json.loads(baseline_path.read_text())
     failed = 0
@@ -413,6 +455,11 @@ def check_regression(result: dict, baseline_path: Path) -> int:
         print("FAIL: fast and reference render engines produced "
               "different trace digests", file=sys.stderr)
         failed = 1
+    for mode, leg in result["render"].get("filters", {}).items():
+        if not leg["digests_match"]:
+            print(f"FAIL: fast and reference render engines produced "
+                  f"different {mode} trace digests", file=sys.stderr)
+            failed = 1
     failed |= check_streaming(result)
     if not failed:
         print("regression gates passed")

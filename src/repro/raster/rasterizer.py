@@ -31,7 +31,7 @@ from repro.raster.fragment import Quad
 from repro.raster.interpolation import barycentric_grid, interpolate_uv_grid
 from repro.raster.setup import ScreenBatch, ScreenPrimitive
 from repro.raster.zbuffer import ZBuffer
-from repro.texture.sampler import FilterMode, Sampler, compute_lod
+from repro.texture.sampler import ABSENT_LINE, FilterMode, Sampler, quad_lods
 from repro.texture.texture import Texture
 
 #: Coverage tuple for each 4-bit lane code (lane 0 is the high bit), so
@@ -48,13 +48,31 @@ _COVERAGE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
 _NEW_QUAD = partial(tuple.__new__, Quad)
 
 
+def _first_visits(rows: np.ndarray) -> np.ndarray:
+    """Mask of each row's first visit to every cache line.
+
+    The order ``dict.fromkeys`` preserves, vectorized with a stable
+    per-row sort: within a run of equal lines the stable order puts the
+    earliest column first.  :data:`ABSENT_LINE` fillers are dropped.
+    """
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    keep = np.empty(rows.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keep[:, 1:])
+    keep &= ranked != ABSENT_LINE
+    first = np.empty_like(keep)
+    np.put_along_axis(first, order, keep, axis=1)
+    return first
+
+
 @dataclass
 class PendingTileQuads:
     """One tile's rasterized quads awaiting batched footprint assembly.
 
     Everything the final :class:`Quad` records need except the texture
-    footprints, which are computed frame-wide per (texture, samples)
-    group by :meth:`Rasterizer.finalize_quads_fast`.
+    footprints, which are computed per flush group and (texture, samples)
+    by :meth:`Rasterizer.finalize_quads_fast`.
     """
 
     tile: TileCoord
@@ -271,13 +289,14 @@ class Rasterizer:
     def finalize_quads_fast(
         self, batch: ScreenBatch, pending: List[PendingTileQuads]
     ) -> Dict[TileCoord, List[Quad]]:
-        """Frame-level footprint batching + quad emission.
+        """Footprint batching + quad emission for a group of tiles.
 
-        Quads from every tile are grouped by (texture, samples) so the
-        mip-LOD and cache-line math runs in a handful of vectorized
-        calls per frame; the per-quad cache-line rows are then deduped
-        in first-visit order and wrapped into :class:`Quad` records in
-        each tile's emission order.
+        Quads from every pending tile are grouped by (texture, samples)
+        so the mip-LOD and cache-line math runs in a handful of
+        vectorized calls per group, whatever the filter mode; the
+        per-quad cache-line rows are then deduped in first-visit order
+        and wrapped into :class:`Quad` records in each tile's emission
+        order.
         """
         out: Dict[TileCoord, List[Quad]] = {}
         if not pending:
@@ -306,14 +325,7 @@ class Rasterizer:
                 texture, lane_u[idx], lane_v[idx], count
             )
             lods[idx] = group_lods
-            # First-visit dedup, vectorized: a column survives when
-            # it differs from every earlier column in its row —
-            # the order ``dict.fromkeys`` preserves.
-            first = np.ones(group_lines.shape, dtype=bool)
-            for j in range(1, group_lines.shape[1]):
-                first[:, j] = (
-                    group_lines[:, :j] != group_lines[:, j:j + 1]
-                ).all(axis=1)
+            first = _first_visits(group_lines)
             flat = group_lines[first].tolist()
             bounds = np.cumsum(first.sum(axis=1)).tolist()
             start = 0
@@ -528,45 +540,39 @@ class Rasterizer:
     ) -> List[Tuple[float, Tuple[int, ...]]]:
         """Per-quad (lod, cache lines) for all covered blocks at once.
 
-        Bilinear sampling — the overwhelmingly common case — runs fully
-        vectorized; other filter modes fall back to the scalar
-        per-lane path, which is bit-identical.
+        The LOD is computed once per quad by :func:`quad_lods` for
+        every filter mode.  Bilinear sampling then runs fully
+        vectorized; other filter modes visit the scalar
+        :meth:`Sampler.footprint` of every lane and sample.
         """
         if texture is None or texture_samples == 0:
             return [(0.0, ())] * len(blocks)
-        if self.sampler.filter_mode is not FilterMode.BILINEAR:
-            return [
-                self._quad_texture_footprint(
-                    u, v, bx, by, texture, texture_samples
-                )
-                for bx, by in blocks
-            ]
 
+        # The four lanes of each quad in the scalar path's order
+        # (0,0),(1,0),(0,1),(1,1), clamped to the region.
         height, width = u.shape
         bxs = np.array([b[0] for b in blocks])
         bys = np.array([b[1] for b in blocks])
         x1 = np.minimum(bxs + 1, width - 1)
         y1 = np.minimum(bys + 1, height - 1)
+        lane_y = np.stack([bys, bys, y1, y1], axis=1)
+        lane_x = np.stack([bxs, x1, bxs, x1], axis=1)
+        lane_u = u[lane_y, lane_x]
+        lane_v = v[lane_y, lane_x]
+        lods = quad_lods(texture, lane_u, lane_v)
+        if self.sampler.filter_mode is not FilterMode.BILINEAR:
+            return [
+                self._quad_texture_footprint(
+                    quad_u, quad_v, lod, texture, texture_samples
+                )
+                for quad_u, quad_v, lod in zip(
+                    lane_u.tolist(), lane_v.tolist(), lods.tolist()
+                )
+            ]
 
-        # Quad-level mip LOD from the 2x2 lanes (helper lanes included).
-        u00, v00 = u[bys, bxs], v[bys, bxs]
-        sx = np.hypot(
-            (u[bys, x1] - u00) * texture.width,
-            (v[bys, x1] - v00) * texture.height,
-        )
-        sy = np.hypot(
-            (u[y1, bxs] - u00) * texture.width,
-            (v[y1, bxs] - v00) * texture.height,
-        )
-        rho = np.maximum(np.maximum(sx, sy), 1e-12)
-        lods = np.maximum(0.0, np.log2(rho))
         # The *sampled* level clamps to the mip chain; the reported LOD
         # stays raw, matching the scalar path.
         levels = np.minimum(lods, float(texture.max_lod)).astype(np.int64)
-
-        # The four lanes of each quad, in the scalar path's order.
-        lane_y = np.stack([bys, bys, y1, y1], axis=1)
-        lane_x = np.stack([bxs, x1, bxs, x1], axis=1)
         lane_levels = np.broadcast_to(levels[:, None], lane_x.shape)
 
         # lines[k, lane, sample, neighbour] in scalar visit order.
@@ -574,10 +580,10 @@ class Rasterizer:
         per_sample = []
         for sample in range(texture_samples):
             scale = float(sample + 1)
-            lane_u = u[lane_y, lane_x] * scale
-            lane_v = v[lane_y, lane_x] * scale
             per_sample.append(
-                lines_batch(texture, lane_u, lane_v, lane_levels)
+                lines_batch(
+                    texture, lane_u * scale, lane_v * scale, lane_levels
+                )
             )
         lines = np.stack(per_sample, axis=2)
 
@@ -591,40 +597,27 @@ class Rasterizer:
 
     def _quad_texture_footprint(
         self,
-        u: np.ndarray,
-        v: np.ndarray,
-        bx: int,
-        by: int,
-        texture: Optional[Texture],
+        lane_u: List[float],
+        lane_v: List[float],
+        lod: float,
+        texture: Texture,
         texture_samples: int,
     ) -> Tuple[float, Tuple[int, ...]]:
-        """LOD and ordered unique cache lines of one quad's samples."""
-        if texture is None or texture_samples == 0:
-            return 0.0, ()
-        height, width = u.shape
-        x1 = min(bx + 1, width - 1)
-        y1 = min(by + 1, height - 1)
-        du_dx = u[by, x1] - u[by, bx]
-        dv_dx = v[by, x1] - v[by, bx]
-        du_dy = u[y1, bx] - u[by, bx]
-        dv_dy = v[y1, bx] - v[by, bx]
-        lod = compute_lod(
-            du_dx, dv_dx, du_dy, dv_dy, texture.width, texture.height
-        )
+        """LOD and ordered unique cache lines of one quad's samples.
+
+        The scalar spec: one :meth:`Sampler.footprint` per lane and
+        sample, in lane-major order, deduped in first-visit order.
+        """
         lines: List[int] = []
         seen = set()
-        for dy in (0, 1):
-            for dx in (0, 1):
-                iy, ix = min(by + dy, height - 1), min(bx + dx, width - 1)
-                for sample in range(texture_samples):
-                    scale = float(sample + 1)
-                    footprint = self.sampler.footprint(
-                        texture, u[iy, ix] * scale, v[iy, ix] * scale, lod
-                    )
-                    for line in footprint.lines:
-                        if line not in seen:
-                            seen.add(line)
-                            lines.append(line)
+        footprint = self.sampler.footprint
+        for u, v in zip(lane_u, lane_v):
+            for sample in range(texture_samples):
+                scale = float(sample + 1)
+                for line in footprint(texture, u * scale, v * scale, lod).lines:
+                    if line not in seen:
+                        seen.add(line)
+                        lines.append(line)
         return lod, tuple(lines)
 
     def _shade_pixels(

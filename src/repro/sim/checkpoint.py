@@ -6,8 +6,8 @@ This module makes pass-1 results durable in one on-disk format, a
 sealed chunk set:
 
 * :func:`trace_key` — a content hash of ``(GPUConfig, workload recipe,
-  frame)``, so a checkpoint is only ever reused for the exact workload
-  and configuration that produced it.
+  frame, texture filter)``, so a checkpoint is only ever reused for the
+  exact workload, configuration and sampler that produced it.
 * :func:`trace_digest` / :class:`TraceDigestBuilder` — the canonical
   *semantic* content hash of a frame trace, built as a hash chain over
   per-tile digests (sorted tile order) so it can be accumulated one
@@ -62,6 +62,7 @@ from repro.sim.faults import (
     SITE_JOURNAL_RECORD,
     fault_point,
 )
+from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.recipe import SceneRecipe
 
 CHECKPOINT_VERSION = 1
@@ -121,17 +122,32 @@ def workload_fingerprint(recipe: SceneRecipe, frame: int = 0) -> Dict[str, Any]:
     return {"recipe": dataclasses.asdict(recipe), "frame": frame}
 
 
-def trace_key(config: GPUConfig, recipe: SceneRecipe, frame: int = 0) -> str:
+def trace_key(
+    config: GPUConfig,
+    recipe: SceneRecipe,
+    frame: int = 0,
+    sampler: Optional[Sampler] = None,
+) -> str:
     """Content hash keying one checkpointed trace.
 
-    Any change to the GPU configuration or the scene recipe produces a
-    different key, so stale checkpoints are never silently reused.
+    Any change to the GPU configuration, the scene recipe or the
+    texture filter produces a different key, so stale checkpoints are
+    never silently reused.  Bilinear filtering (and ``sampler=None``)
+    keys exactly as before the filter was part of the key, so existing
+    bilinear checkpoints stay valid; the anisotropy degree is keyed only
+    under anisotropic filtering, the one mode whose footprints use it.
     """
-    text = _canonical_json({
+    payload = {
         "version": CHECKPOINT_VERSION,
         "config": config_fingerprint(config),
         "workload": workload_fingerprint(recipe, frame),
-    })
+    }
+    mode = sampler.filter_mode if sampler is not None else FilterMode.BILINEAR
+    if mode is not FilterMode.BILINEAR:
+        payload["filter"] = {"mode": mode.value}
+        if mode is FilterMode.ANISOTROPIC:
+            payload["filter"]["max_anisotropy"] = sampler.max_anisotropy
+    text = _canonical_json(payload)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

@@ -43,7 +43,7 @@ from repro.raster.fragment import Quad
 from repro.raster.rasterizer import PendingTileQuads, Rasterizer
 from repro.raster.setup import ScreenBatch, setup_draw_batch, setup_primitive
 from repro.raster.zbuffer import ZBuffer
-from repro.texture.sampler import FilterMode, Sampler
+from repro.texture.sampler import Sampler
 from repro.tiling.polygon_list_builder import PolygonListBuilder
 from repro.tiling.tile_fetcher import TileFetcher
 from repro.workloads.recipe import BuiltWorkload
@@ -53,13 +53,18 @@ LINE_BYTES = 64
 #: Render engine names accepted by :class:`FrameRenderer`.
 ENGINES = ("fast", "reference")
 
-#: Tiles buffered per footprint-batching flush of the incremental fast
-#: pass.  Large enough that the vectorized LOD/cache-line math in
-#: ``finalize_quads_fast`` keeps its batching win, small enough that a
-#: streaming consumer holds O(group) tiles rather than the frame.
-#: ``group_size=0`` means "one flush for the whole frame", which is the
-#: exact allocation pattern (and arithmetic) of the monolithic render.
-DEFAULT_GROUP_TILES = 16
+#: Tiles buffered per footprint-batching flush of the fast pass, for
+#: every filter mode and for both :meth:`FrameRenderer.render` and the
+#: streaming drivers.  Large enough that the vectorized LOD/cache-line
+#: math in ``finalize_quads_fast`` keeps its batching win, small enough
+#: that the flush's footprint rows stay O(group) rather than O(frame).
+#: Non-bilinear rows are wider (trilinear 2x, anisotropic
+#: max_anisotropy x the bilinear 16 lines per quad and sample), and at
+#: 16 tiles a trilinear render peaked above the scalar render's RSS; at
+#: 8 it matches it, with no measured bilinear throughput cost.
+#: ``group_size=0`` still means "one flush for the whole frame"; any
+#: group size yields bit-identical entries.
+DEFAULT_GROUP_TILES = 8
 
 
 @dataclass
@@ -258,8 +263,8 @@ class _FastTilePass:
         """Yield ``(tile, finished entry)`` in ``order``.
 
         ``group_size`` bounds how many tiles are in flight between
-        footprint flushes; ``0`` defers to one whole-frame flush — the
-        monolithic render's exact behaviour.
+        footprint flushes; ``0`` defers to one whole-frame flush (same
+        entries, frame-sized footprint arrays).
         """
         group: List[Tuple[TileCoord, TileTraceEntry]] = []
         pending: List[PendingTileQuads] = []
@@ -390,8 +395,8 @@ class FrameRenderer:
     - ``"reference"`` is the original scalar pipeline, kept verbatim as
       the equality oracle (``sanitizer.trace_digest`` matches per game).
 
-    Image output and non-bilinear samplers always take the reference
-    path — the fast engine only accelerates trace generation.
+    Every filter mode takes the fast path; only image output takes the
+    reference path — the fast engine only accelerates trace generation.
 
     Both engines expose the same two shapes of pass 1:
 
@@ -426,11 +431,7 @@ class FrameRenderer:
         selective re-render (checkpoint resume), and ``finish()`` for
         the frame-level :class:`RenderStats`.
         """
-        if (
-            self.engine == "fast"
-            and not with_image
-            and self.sampler.filter_mode is FilterMode.BILINEAR
-        ):
+        if self.engine == "fast" and not with_image:
             return _FastTilePass(self, workload)
         return _ReferenceTilePass(self, workload, with_image)
 
@@ -457,15 +458,15 @@ class FrameRenderer:
     ) -> Tuple[FrameTrace, Optional[FrameBuffer]]:
         """Render one frame; returns the trace and (optionally) the image.
 
-        Implemented on the incremental pass with ``group_size=0`` (one
-        whole-frame footprint flush), which is the monolithic render's
-        exact arithmetic and allocation pattern.
+        Implemented on the incremental pass, flushing footprints in
+        bounded groups of :data:`DEFAULT_GROUP_TILES` tiles like the
+        streaming drivers, so the footprint arrays of a whole frame are
+        never held at once.
         """
         tile_pass = self.begin_tiles(workload, with_image)
         tiles: Dict[TileCoord, TileTraceEntry] = {}
         for tile, entry in tile_pass.iter_tiles(
-            scanline_order(self.config.tiles_x, self.config.tiles_y),
-            group_size=0,
+            scanline_order(self.config.tiles_x, self.config.tiles_y)
         ):
             tiles[tile] = entry
         trace = FrameTrace(

@@ -149,6 +149,12 @@ class ExperimentRunner:
 
     # -- pass 1 cache -----------------------------------------------------------
 
+    def checkpoint_key(self, alias: str) -> str:
+        """Checkpoint key of one game's trace under this runner's sampler."""
+        return trace_key(
+            self.config, GAMES[alias].recipe, sampler=self.renderer.sampler
+        )
+
     def trace_for(self, alias: str) -> FrameTrace:
         """Return one game's frame trace, rendering only when needed.
 
@@ -160,8 +166,7 @@ class ExperimentRunner:
             return self._traces[alias]
         if self.checkpoint_store is not None and alias in GAMES:
             trace = self.checkpoint_store.load_or_render(
-                trace_key(self.config, GAMES[alias].recipe),
-                lambda: self._render(alias),
+                self.checkpoint_key(alias), lambda: self._render(alias),
             )
         else:
             trace = self._render(alias)
@@ -193,7 +198,7 @@ class ExperimentRunner:
         keys: Dict[str, str] = {}
         for alias in self.games:
             trace = self.trace_for(alias)
-            key = trace_key(self.config, GAMES[alias].recipe)
+            key = self.checkpoint_key(alias)
             if not store.contains(key):
                 store.save(key, trace)
             keys[alias] = key
@@ -210,9 +215,7 @@ class ExperimentRunner:
         """
         if self.checkpoint_store is None or alias not in GAMES:
             return None
-        return self.checkpoint_store.chunks(
-            trace_key(self.config, GAMES[alias].recipe)
-        )
+        return self.checkpoint_store.chunks(self.checkpoint_key(alias))
 
     def stream_for(self, alias: str) -> StreamingTileStream:
         """Build this runner's streamed tile dataflow for one game."""

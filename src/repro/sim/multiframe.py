@@ -96,7 +96,10 @@ class AnimationSimulator:
         if self.checkpoint_store is None:
             return self._render(animation, frame)
         return self.checkpoint_store.load_or_render(
-            trace_key(self.config, animation.recipe, frame=frame),
+            trace_key(
+                self.config, animation.recipe, frame=frame,
+                sampler=self.renderer.sampler,
+            ),
             lambda: self._render(animation, frame),
         )
 
@@ -113,7 +116,10 @@ class AnimationSimulator:
         chunk_store = None
         if self.checkpoint_store is not None:
             chunk_store = self.checkpoint_store.chunks(
-                trace_key(self.config, animation.recipe, frame=frame)
+                trace_key(
+                    self.config, animation.recipe, frame=frame,
+                    sampler=self.renderer.sampler,
+                )
             )
         workload = animation.recipe.build(self.config, frame=frame)
         return StreamingTileStream(

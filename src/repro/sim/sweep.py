@@ -62,7 +62,6 @@ from repro.sim.checkpoint import (
     TraceCheckpointStore,
     campaign_key,
     config_hash,
-    trace_key,
 )
 from repro.sim.experiment import ExperimentRunner, SuiteResult
 from repro.sim.replay import TraceReplayer
@@ -77,7 +76,8 @@ from repro.sim.resilience import (
 )
 from repro.sim.stream import StreamingTileStream
 from repro.stats import per_tile_imbalance
-from repro.workloads.games import GAMES, build_game
+from repro.texture.sampler import Sampler
+from repro.workloads.games import build_game
 
 #: Column order of sweep rows.
 ROW_FIELDS = [
@@ -101,7 +101,10 @@ MANIFEST_FILENAME = "manifest.json"
 _WORKER_TRACES: Dict[Tuple[str, str], object] = {}
 
 
-def _worker_trace(store_dir: str, key: str, config, alias: str):
+def _worker_trace(
+    store_dir: str, key: str, config, alias: str,
+    sampler: Optional[Sampler] = None,
+):
     """Load one trace inside a worker, self-healing a broken store.
 
     A damaged checkpoint is a cache miss, exactly as in the parent: the
@@ -112,7 +115,7 @@ def _worker_trace(store_dir: str, key: str, config, alias: str):
     trace = _WORKER_TRACES.get(cache_key)
     if trace is None:
         trace = TraceCheckpointStore(store_dir).load_or_render(
-            key, lambda: FrameRenderer(config).render(
+            key, lambda: FrameRenderer(config, sampler).render(
                 build_game(alias, config)
             )[0],
         )
@@ -120,7 +123,10 @@ def _worker_trace(store_dir: str, key: str, config, alias: str):
     return trace
 
 
-def _worker_stream(store_dir: str, key: str, config, alias: str):
+def _worker_stream(
+    store_dir: str, key: str, config, alias: str,
+    sampler: Optional[Sampler] = None,
+):
     """Build one streamed replay's tile stream inside a worker.
 
     Chunks live in the same ``chunks/<trace key>`` set the serial
@@ -130,7 +136,7 @@ def _worker_stream(store_dir: str, key: str, config, alias: str):
     and every writer produces the identical entry.
     """
     return StreamingTileStream(
-        FrameRenderer(config), build_game(alias, config),
+        FrameRenderer(config, sampler), build_game(alias, config),
         chunk_store=TraceCheckpointStore(store_dir).chunks(key),
     )
 
@@ -148,6 +154,7 @@ def _replay_task(
     policy: Optional[RetryPolicy],
     guarded: bool,
     stream_driver: str = "batch",
+    sampler: Optional[Sampler] = None,
     plan: Optional[faults.FaultPlan] = None,
     attempt: int = 1,
 ):
@@ -162,7 +169,8 @@ def _replay_task(
     ``stream_driver`` is ``"batch"`` (load the whole trace, replay it)
     or ``"streaming"`` (render/load tiles one chunk at a time).  Either
     way the result is bit-identical; only the memory/time profile
-    differs.
+    differs.  ``sampler`` is the runner's texture filter, for the
+    frames a worker renders itself (``key`` already names it).
 
     ``plan`` re-arms the parent's fault plan inside the worker (fork
     inheritance is not guaranteed under spawn, and a respawned pool
@@ -178,7 +186,7 @@ def _replay_task(
             config, energy_params=energy_params, budget=budget, engine=engine
         )
         if stream_driver == "batch":
-            trace = _worker_trace(store_dir, key, config, game)
+            trace = _worker_trace(store_dir, key, config, game, sampler)
 
             def replay():
                 faults.fault_point(
@@ -192,7 +200,8 @@ def _replay_task(
                     faults.SITE_REPLAY, key=f"{design_name}/{game}"
                 )
                 return replayer.run_stream(
-                    _worker_stream(store_dir, key, config, game), design
+                    _worker_stream(store_dir, key, config, game, sampler),
+                    design,
                 )
 
         if not guarded:
@@ -638,7 +647,7 @@ class DesignSweep:
                     # workers render (or chunk-load) their own tiles,
                     # keyed so they share one tile-granular cache.
                     keys = {
-                        alias: trace_key(runner.config, GAMES[alias].recipe)
+                        alias: runner.checkpoint_key(alias)
                         for alias in runner.games
                     }
                 stamp("render")
@@ -647,6 +656,7 @@ class DesignSweep:
                 params = replayer.energy_model.params
                 budget = replayer.budget
                 engine = replayer.engine
+                sampler = runner.renderer.sampler
                 pool = _TaskPool(
                     jobs, task_timeout_s, max_task_attempts,
                     faults.active_plan(),
@@ -656,7 +666,7 @@ class DesignSweep:
                         (_BASELINE_TASK, alias),
                         (store_dir, keys[alias], config, self.baseline,
                          params, budget, engine, self.baseline.name, alias,
-                         retry_policy, False, runner.stream),
+                         retry_policy, False, runner.stream, sampler),
                     )
                 for design in pending:
                     for alias in runner.games:
@@ -664,7 +674,7 @@ class DesignSweep:
                             (design.name, alias),
                             (store_dir, keys[alias], config, design,
                              params, budget, engine, design.name, alias,
-                             retry_policy, True, runner.stream),
+                             retry_policy, True, runner.stream, sampler),
                         )
                 stamp("pool_startup")
                 # Baseline first, in games order: the first failing

@@ -41,18 +41,42 @@ class SampleFootprint:
         return len(self.lines)
 
 
-def compute_lod(
-    du_dx: float, dv_dx: float, du_dy: float, dv_dy: float,
-    width: int, height: int,
-) -> float:
+#: Row filler for a trilinear quad's absent second mip level in
+#: :meth:`Sampler.quad_footprints_batch`.  Cache-line numbers are never
+#: negative, so a first-visit dedup that keeps only non-negative
+#: entries drops it.
+ABSENT_LINE = -1
+
+
+def compute_lod(du_dx, dv_dx, du_dy, dv_dy, width: int, height: int):
     """Mip level of detail from UV screen-space derivatives.
 
     Standard GL formula: log2 of the longest screen-space texel stride.
+    Elementwise over numpy arrays (or scalars): this one expression is
+    the LOD of every filter mode in both render engines.
     """
-    sx = math.hypot(du_dx * width, dv_dx * height)
-    sy = math.hypot(du_dy * width, dv_dy * height)
-    rho = max(sx, sy, 1e-12)
-    return max(0.0, math.log2(rho))
+    import numpy as np
+
+    sx = np.hypot(du_dx * width, dv_dx * height)
+    sy = np.hypot(du_dy * width, dv_dy * height)
+    rho = np.maximum(np.maximum(sx, sy), 1e-12)
+    return np.maximum(0.0, np.log2(rho))
+
+
+def quad_lods(texture: Texture, lane_u, lane_v):
+    """Raw (unclamped) mip LOD per quad from its ``(Q, 4)`` lane UVs.
+
+    Lanes are in footprint order ``(0,0), (1,0), (0,1), (1,1)``, so the
+    x derivative is lane 1 minus lane 0 and the y derivative lane 2
+    minus lane 0 (helper lanes included, as on real GPU quads).
+    """
+    u00 = lane_u[:, 0]
+    v00 = lane_v[:, 0]
+    return compute_lod(
+        lane_u[:, 1] - u00, lane_v[:, 1] - v00,
+        lane_u[:, 2] - u00, lane_v[:, 2] - v00,
+        texture.width, texture.height,
+    )
 
 
 class Sampler:
@@ -139,19 +163,18 @@ class Sampler:
     def bilinear_lines_batch(self, texture: Texture, u, v, level):
         """Vectorized bilinear footprints: cache lines of many samples.
 
-        ``u``, ``v`` are float arrays of any shape and ``level`` a
-        broadcastable pre-clamped integer mip level (per-quad levels
-        can stay a column vector — per-level constants are then
+        ``u``, ``v`` are float arrays and ``level`` a pre-clamped
+        integer mip level array, all mutually broadcastable (per-quad
+        levels can stay a column vector — per-level constants are then
         gathered once per quad rather than once per texel); returns an
-        int64 array of shape ``broadcast(u, level).shape + (4,)`` whose
-        last axis holds the 2x2 neighbourhood's cache lines in the same
-        order as :meth:`footprint` visits them.  Only valid for
-        BILINEAR mode.
+        int64 array of shape ``broadcast(u, v, level).shape + (4,)``
+        whose last axis holds the 2x2 neighbourhood's cache lines in
+        the same order as :meth:`footprint` visits them.  This is one
+        bilinear probe whatever the filter mode: trilinear and
+        anisotropic footprints are built from it.
         """
         import numpy as np
 
-        if self.filter_mode is not FilterMode.BILINEAR:
-            raise ConfigError("batch path only supports bilinear filtering")
         tables = texture._level_tables()
         level = np.asarray(level, dtype=np.int64)
         w = tables["wmask"][level] + 1
@@ -160,10 +183,13 @@ class Sampler:
         ty = np.asarray(v) * h - 0.5
         x0 = np.floor(tx).astype(np.int64)
         y0 = np.floor(ty).astype(np.int64)
-        # Neighbour order matches the scalar path: (0,0),(1,0),(0,1),(1,1).
-        nx = np.stack([x0, x0 + 1, x0, x0 + 1], axis=-1)
-        ny = np.stack([y0, y0, y0 + 1, y0 + 1], axis=-1)
-        return texture.texel_lines_array(nx, ny, level[..., None])
+        # A (dy, dx) grid whose row-major order matches the scalar path:
+        # (0,0),(1,0),(0,1),(1,1); texel_lines_array broadcasts the two
+        # column coordinates against the two row coordinates.
+        nx = np.stack([x0, x0 + 1], axis=-1)[..., None, :]
+        ny = np.stack([y0, y0 + 1], axis=-1)[..., :, None]
+        lines = texture.texel_lines_array(nx, ny, level[..., None, None])
+        return lines.reshape(lines.shape[:-2] + (4,))
 
     def quad_footprints_batch(self, texture: Texture, lane_u, lane_v,
                               texture_samples: int):
@@ -172,42 +198,64 @@ class Sampler:
         ``lane_u``/``lane_v`` are ``(Q, 4)`` arrays of the four quad
         lanes' perspective-correct UVs in footprint order
         ``(0,0), (1,0), (0,1), (1,1)``.  Returns ``(lods, lines)``:
-        the raw (unclamped) per-quad LOD array and a ``(Q, N)`` int64
-        array of cache lines flattened in scalar visit order —
-        lane-major, then sample, then bilinear neighbour — still
-        containing duplicates, exactly as the scalar path visits them
-        before its first-visit dedup.  Only valid for BILINEAR mode.
+        the raw (unclamped) per-quad LOD array (:func:`quad_lods`) and
+        a ``(Q, N)`` int64 array of cache lines flattened in scalar
+        visit order — lane-major, then sample, then the filter's own
+        order (trilinear level or anisotropic probe, then bilinear
+        neighbour) — still containing duplicates, exactly as the scalar
+        :meth:`footprint` calls visit them before their first-visit
+        dedup.  A trilinear quad without a second mip level fills that
+        level's columns with :data:`ABSENT_LINE`.
         """
         import numpy as np
 
-        u00 = lane_u[:, 0]
-        v00 = lane_v[:, 0]
-        sx = np.hypot(
-            (lane_u[:, 1] - u00) * texture.width,
-            (lane_v[:, 1] - v00) * texture.height,
-        )
-        sy = np.hypot(
-            (lane_u[:, 2] - u00) * texture.width,
-            (lane_v[:, 2] - v00) * texture.height,
-        )
-        rho = np.maximum(np.maximum(sx, sy), 1e-12)
-        lods = np.maximum(0.0, np.log2(rho))
+        lods = quad_lods(texture, lane_u, lane_v)
         # The *sampled* level clamps to the mip chain; the reported LOD
         # stays raw, matching the scalar path.
-        levels = np.minimum(lods, float(texture.max_lod)).astype(np.int64)
-        lane_levels = levels[:, None]
-
-        per_sample = []
-        for sample in range(texture_samples):
-            scale = float(sample + 1)
-            per_sample.append(
-                self.bilinear_lines_batch(
-                    texture, lane_u * scale, lane_v * scale, lane_levels
-                )
+        max_lod = texture.max_lod
+        clamped = np.minimum(lods, float(max_lod))
+        levels = clamped.astype(np.int64)
+        # Sample k of a lane reads (u, v) * (k + 1): axes (quad, lane,
+        # sample).
+        scales = np.arange(1, texture_samples + 1, dtype=np.float64)
+        u = lane_u[:, :, None] * scales
+        v = lane_v[:, :, None] * scales
+        mode = self.filter_mode
+        if mode is FilterMode.BILINEAR:
+            lines = self.bilinear_lines_batch(
+                texture, u, v, levels[:, None, None]
             )
-        # lines[quad, lane, sample, neighbour]; flattening row-major is
-        # exactly the scalar visit order.
-        lines = np.stack(per_sample, axis=2)
+        elif mode is FilterMode.NEAREST:
+            # int() truncates toward zero; so does the float->int cast.
+            level = levels[:, None, None]
+            tables = texture._level_tables()
+            x = (u * (tables["wmask"][level] + 1)).astype(np.int64)
+            y = (v * (tables["hmask"][level] + 1)).astype(np.int64)
+            lines = texture.texel_lines_array(x, y, level)
+        elif mode is FilterMode.TRILINEAR:
+            pair = np.stack(
+                [levels, np.minimum(levels + 1, max_lod)], axis=1
+            )
+            lines = self.bilinear_lines_batch(
+                texture, u[..., None], v[..., None], pair[:, None, None, :]
+            )
+            single = ~((clamped > levels) & (levels < max_lod))
+            lines[single, :, :, 1] = ABSENT_LINE
+        else:
+            # N bilinear probes spread along u at a sharper mip level:
+            # axes (quad, lane, sample, probe), same float expressions
+            # as the scalar path.
+            probes = self.max_anisotropy
+            level = np.maximum(levels - int(math.log2(probes)), 0)
+            width = texture._level_tables()["wmask"][level] + 1
+            step = probes / (2.0 * width)
+            offsets = (
+                np.arange(probes) - (probes - 1) / 2.0
+            ) * step[:, None]
+            lines = self.bilinear_lines_batch(
+                texture, u[..., None] + offsets[:, None, None, :],
+                v[..., None], level[:, None, None, None],
+            )
         return lods, lines.reshape(len(lods), -1)
 
     # -- procedural filtering ----------------------------------------------------

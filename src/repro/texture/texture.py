@@ -155,10 +155,11 @@ class Texture:
     def texel_lines_array(self, x, y, level) -> "object":
         """Vectorized :meth:`texel_line` over numpy arrays.
 
-        ``x``, ``y`` and ``level`` are equal-shaped integer arrays;
-        coordinates wrap (repeat mode) and levels must be pre-clamped to
-        ``[0, max_lod]``.  Returns an int64 array of cache-line numbers
-        identical to the scalar path.
+        ``x``, ``y`` and ``level`` are mutually broadcastable integer
+        arrays; coordinates wrap (repeat mode) and levels must be
+        pre-clamped to ``[0, max_lod]``.  Returns an int64 array of the
+        broadcast shape holding cache-line numbers identical to the
+        scalar path.
         """
         import numpy as np
 
@@ -166,23 +167,33 @@ class Texture:
 
         tables = self._level_tables()
         level = np.asarray(level, dtype=np.int64)
-        # Power-of-two wrap: two's-complement AND with (size - 1) is
-        # exactly the non-negative Python ``%``.
-        x = np.asarray(x, dtype=np.int64) & tables["wmask"][level]
-        y = np.asarray(y, dtype=np.int64) & tables["hmask"][level]
-        # Fold the long axis into square Morton blocks (as in
-        # texel_address).  The short axis' fold shift is a no-op (its
-        # coordinate is already below the square size), so no per-axis
-        # selection is needed.
         sqbits = tables["sqbits"][level]
-        blocks = ((x >> sqbits) + (y >> sqbits)) << tables["sq2bits"][level]
+        sq2bits = tables["sq2bits"][level]
         sqmask = tables["sqmask"][level]
         table = morton_table()
-        code = (table[x & sqmask] | (table[y & sqmask] << np.uint64(1)))
-        index = blocks + code.astype(np.int64)
+        # The texel index (as in texel_address) is the long-axis block
+        # fold plus the Morton code.  The fold shifts the short axis'
+        # coordinate to zero, Morton puts x on even bits and y on odd
+        # bits, and the fold sits above both, so the index is a sum of
+        # a term in x alone and a term in y alone.  Each term is built
+        # at its own shape; only their sum is broadcast.  Power-of-two
+        # wrap: two's-complement AND with (size - 1) is exactly the
+        # non-negative Python ``%``.
+        x = np.asarray(x, dtype=np.int64) & tables["wmask"][level]
+        index = (x >> sqbits) << sq2bits
+        x &= sqmask
+        index += table[x].view(np.int64)
+        y = np.asarray(y, dtype=np.int64) & tables["hmask"][level]
+        y_term = (y >> sqbits) << sq2bits
+        y &= sqmask
+        y_term += (table[y] << np.uint64(1)).view(np.int64)
+        index = index + y_term
         # address = base + mip offset + index * TEXEL_BYTES, then // 64;
         # all terms non-negative, so shifts are exact.
-        return (tables["base_off"][level] + (index << 2)) >> 6
+        index <<= 2
+        index += tables["base_off"][level]
+        index >>= 6
+        return index
 
     # -- procedural values ----------------------------------------------------
 

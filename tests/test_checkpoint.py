@@ -18,9 +18,12 @@ from repro.sim.checkpoint import (
     trace_key,
     verify_trace,
 )
+from repro.sim.driver import FrameRenderer
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.multiframe import AnimationSimulator
 from repro.sim.replay import TraceReplayer
+from repro.texture.sampler import FilterMode, Sampler
+from repro.workloads.games import build_game
 from repro.workloads.animation import Animation
 from repro.workloads.games import GAMES
 
@@ -294,6 +297,83 @@ class TestFailedRewrite:
                 str(store.directory), key, tiny_config, "SWa"
             )
         assert trace == game_trace
+
+
+class TestSamplerKeys:
+    """A checkpoint is only reused under the filter that rendered it."""
+
+    def test_key_depends_on_the_filter(self, tiny_config):
+        recipe = GAMES["SWa"].recipe
+
+        def key(mode=None, anisotropy=4):
+            sampler = None if mode is None else Sampler(mode, anisotropy)
+            return trace_key(tiny_config, recipe, sampler=sampler)
+
+        # Bilinear keys exactly as before the filter was keyed.
+        assert key() == trace_key(tiny_config, recipe)
+        assert key(FilterMode.BILINEAR, 8) == key()
+        keys = {key(mode) for mode in FilterMode}
+        assert len(keys) == len(FilterMode)
+        # The anisotropy degree only changes anisotropic footprints.
+        assert key(FilterMode.TRILINEAR, 8) == key(FilterMode.TRILINEAR)
+        assert key(FilterMode.ANISOTROPIC, 8) != key(FilterMode.ANISOTROPIC)
+
+    def test_runner_renders_its_own_filter(self, store, tiny_config):
+        """A trilinear runner must not load a default runner's trace."""
+        bilinear = ExperimentRunner(
+            tiny_config, games=["SWa"], checkpoint_store=store
+        )
+        bilinear.trace_for("SWa")
+        sampler = Sampler(FilterMode.TRILINEAR)
+        trilinear = ExperimentRunner(
+            tiny_config, sampler=sampler, games=["SWa"],
+            checkpoint_store=store,
+        )
+        expected, _ = FrameRenderer(tiny_config, sampler).render(
+            build_game("SWa", tiny_config)
+        )
+        assert trilinear.trace_for("SWa") == expected
+        assert trilinear.renders_performed == 1
+        again = ExperimentRunner(
+            tiny_config, sampler=sampler, games=["SWa"],
+            checkpoint_store=store,
+        )
+        assert again.trace_for("SWa") == expected
+        assert again.renders_performed == 0
+
+    def test_animation_renders_its_own_filter(self, store, tiny_config):
+        animation = Animation.of_game("SWa", num_frames=1)
+        AnimationSimulator(tiny_config, checkpoint_store=store).run(
+            animation, BASELINE
+        )
+        sampler = Sampler(FilterMode.NEAREST)
+        nearest = AnimationSimulator(
+            tiny_config, sampler=sampler, checkpoint_store=store
+        )
+        result = nearest.run(animation, BASELINE)
+        assert nearest.renders_performed == 1
+        assert result == AnimationSimulator(tiny_config, sampler).run(
+            animation, BASELINE
+        )
+
+    def test_parallel_streamed_sweep_renders_the_runner_filter(
+        self, tmp_path, tiny_config
+    ):
+        """Sweep workers render with the runner's sampler, not a default."""
+        from repro.sim.sweep import DesignSweep
+
+        sampler = Sampler(FilterMode.ANISOTROPIC, max_anisotropy=2)
+        grid = DesignSweep(groupings=("CG-square",), decoupled=(True,))
+
+        def run(jobs, directory):
+            runner = ExperimentRunner(
+                tiny_config, sampler=sampler, games=["SWa"],
+                stream="streaming",
+                checkpoint_store=TraceCheckpointStore(directory),
+            )
+            return grid.run(runner, jobs=jobs).rows
+
+        assert run(2, tmp_path / "parallel") == run(1, tmp_path / "serial")
 
 
 class TestMultiFrameCheckpoints:

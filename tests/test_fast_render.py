@@ -32,7 +32,7 @@ from repro.geometry.mesh import (
 from repro.geometry.transform import perspective
 from repro.geometry.vec import Vec2, Vec3
 from repro.sim.checkpoint import trace_digest
-from repro.sim.driver import ENGINES, FrameRenderer
+from repro.sim.driver import ENGINES, FrameRenderer, _FastTilePass
 from repro.texture.sampler import FilterMode, Sampler
 from repro.texture.texture import TextureAllocator
 from repro.workloads.games import build_game, game_aliases
@@ -57,10 +57,19 @@ GOLDEN_DIGESTS = {
 }
 
 
-def render_both(workload, config=TINY):
+#: The filter modes that share the bilinear fast pass since it learned
+#: nearest, trilinear and anisotropic footprints.
+NON_BILINEAR = (
+    FilterMode.NEAREST, FilterMode.TRILINEAR, FilterMode.ANISOTROPIC
+)
+
+
+def render_both(workload, config=TINY, sampler=None):
     """(fast trace, reference trace) for one workload."""
-    fast, _ = FrameRenderer(config, engine="fast").render(workload)
-    ref, _ = FrameRenderer(config, engine="reference").render(workload)
+    fast, _ = FrameRenderer(config, sampler, engine="fast").render(workload)
+    ref, _ = FrameRenderer(
+        config, sampler, engine="reference"
+    ).render(workload)
     return fast, ref
 
 
@@ -90,6 +99,38 @@ class TestGameSuiteDifferential:
         assert sorted(GOLDEN_DIGESTS) == sorted(game_aliases())
 
 
+class TestFilterModesDifferential:
+    @pytest.mark.parametrize("mode", NON_BILINEAR, ids=lambda m: m.value)
+    @pytest.mark.parametrize("alias", game_aliases())
+    def test_fast_matches_reference(self, alias, mode):
+        """Every game under every non-bilinear filter, both engines."""
+        fast, ref = render_both(build_game(alias, TINY), sampler=Sampler(mode))
+        assert_traces_identical(fast, ref)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lod_does_not_depend_on_the_filter(self, engine):
+        """One LOD definition: every mode reports the same quad LODs.
+
+        Under separate scalar and batched LOD expressions, 3 of SWa's
+        quads here differed in the last ulp between nearest and
+        bilinear.
+        """
+        workload = build_game("SWa", TINY)
+        lods = {}
+        for mode in FilterMode:
+            trace, _ = FrameRenderer(
+                TINY, Sampler(mode), engine=engine
+            ).render(workload)
+            lods[mode] = [
+                quad.lod
+                for tile in sorted(trace.tiles)
+                for quad in trace.tiles[tile].quads
+            ]
+        assert lods[FilterMode.BILINEAR]
+        for mode in NON_BILINEAR:
+            assert lods[mode] == lods[FilterMode.BILINEAR]
+
+
 # -- randomized scene recipes ----------------------------------------------
 
 
@@ -115,6 +156,19 @@ class TestRandomScenes:
         )
         workload = recipe.build(TINY)
         fast, ref = render_both(workload)
+        assert_traces_identical(fast, ref)
+
+    @pytest.mark.parametrize("mode", NON_BILINEAR, ids=lambda m: m.value)
+    @given(params=recipe_params, anisotropy=st.sampled_from([1, 2, 3, 8]))
+    @settings(max_examples=5, deadline=None)
+    def test_random_recipe_every_filter_matches_reference(
+        self, mode, params, anisotropy
+    ):
+        recipe = SceneRecipe(
+            name="prop", texture_budget_mib=0.25, **params
+        )
+        sampler = Sampler(mode, max_anisotropy=anisotropy)
+        fast, ref = render_both(recipe.build(TINY), sampler=sampler)
         assert_traces_identical(fast, ref)
 
 
@@ -200,6 +254,24 @@ class TestRandomMeshes:
         fast, ref = render_both(workload)
         assert_traces_identical(fast, ref)
 
+    @given(
+        triangles=st.lists(triangle_strategy, min_size=1, max_size=6),
+        mode=st.sampled_from(NON_BILINEAR),
+        samples=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_meshes_every_filter_matches_reference(
+        self, triangles, mode, samples
+    ):
+        """UVs span [-4, 4]: nearest truncation and repeat wrapping."""
+        n = len(triangles)
+        flags = [
+            {"depth_write": True, "blend": False, "late_z": False}
+        ] * n
+        workload = build_mesh_workload(triangles, flags, [samples] * n)
+        fast, ref = render_both(workload, sampler=Sampler(mode))
+        assert_traces_identical(fast, ref)
+
     def test_degenerate_and_behind_camera_triangles(self):
         """Deterministic worst cases: zero area, w <= 0, offscreen."""
         def tri(*pts):
@@ -243,13 +315,12 @@ class TestEngineSelection:
         assert image is not None and none is None
         assert_traces_identical(without, with_image)
 
-    def test_non_bilinear_filter_falls_back(self, tiny_workload):
-        """Trilinear sampling has no batch path; both engines agree."""
-        sampler = Sampler(filter_mode=FilterMode.TRILINEAR)
-        fast, _ = FrameRenderer(
-            TINY, sampler=sampler, engine="fast"
-        ).render(tiny_workload)
-        ref, _ = FrameRenderer(
-            TINY, sampler=sampler, engine="reference"
-        ).render(tiny_workload)
-        assert_traces_identical(fast, ref)
+    def test_non_bilinear_filters_take_the_fast_pass(self, tiny_workload):
+        """Every filter mode has a batch path; both engines agree."""
+        for mode in NON_BILINEAR:
+            sampler = Sampler(filter_mode=mode)
+            fast = FrameRenderer(TINY, sampler=sampler, engine="fast")
+            assert isinstance(fast.begin_tiles(tiny_workload), _FastTilePass)
+            assert_traces_identical(
+                *render_both(tiny_workload, sampler=sampler)
+            )

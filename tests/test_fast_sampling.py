@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.texture.addressing import morton_encode, morton_encode_array
-from repro.texture.sampler import FilterMode, Sampler
+from repro.texture.sampler import ABSENT_LINE, FilterMode, Sampler, quad_lods
 from repro.texture.texture import Texture
 
 
@@ -88,12 +88,130 @@ class TestBilinearBatch:
                 )
                 assert set(batch[i, j].tolist()) == set(scalar.lines)
 
-    def test_rejects_non_bilinear(self, texture):
+    def test_probe_is_the_same_under_every_filter_mode(self, texture):
+        """Trilinear and anisotropic footprints are built from it."""
+        rng = np.random.default_rng(4)
+        u = rng.uniform(-2.0, 3.0, size=(6, 5))
+        v = rng.uniform(-2.0, 3.0, size=(6, 5))
+        level = rng.integers(0, texture.max_lod + 1, size=(6, 5))
+        expected = Sampler(FilterMode.BILINEAR).bilinear_lines_batch(
+            texture, u, v, level
+        )
+        for mode in FilterMode:
+            batch = Sampler(mode).bilinear_lines_batch(texture, u, v, level)
+            assert np.array_equal(batch, expected)
+
+
+def quad_lanes(u0, v0, du, dv):
+    """(1, 4) lane UVs of one quad in footprint order, given x/y steps."""
+    lane_u = np.array([[u0, u0 + du, u0, u0 + du]])
+    lane_v = np.array([[v0, v0, v0 + dv, v0 + dv]])
+    return lane_u, lane_v
+
+
+def assert_rows_match_scalar(sampler, texture, lane_u, lane_v, samples):
+    """Batched rows == scalar ``footprint`` of every lane and sample.
+
+    Each row splits into ``4 * samples`` equal blocks, one per
+    ``(lane, sample)`` call of the scalar footprint, in that order; a
+    block deduped in first-visit order (fillers dropped) must be exactly
+    the scalar call's line tuple, and the LOD the shared definition.
+    """
+    lods, rows = sampler.quad_footprints_batch(
+        texture, lane_u, lane_v, samples
+    )
+    assert np.array_equal(lods, quad_lods(texture, lane_u, lane_v))
+    blocks = rows.reshape(len(lods), 4, samples, -1)
+    for q, lod in enumerate(lods.tolist()):
+        for lane in range(4):
+            for sample in range(samples):
+                scale = float(sample + 1)
+                scalar = sampler.footprint(
+                    texture, float(lane_u[q, lane]) * scale,
+                    float(lane_v[q, lane]) * scale, lod,
+                )
+                block = blocks[q, lane, sample].tolist()
+                visited = tuple(dict.fromkeys(
+                    line for line in block if line != ABSENT_LINE
+                ))
+                assert visited == scalar.lines, (q, lane, sample)
+    return lods, rows
+
+
+ALL_MODES = [
+    Sampler(FilterMode.NEAREST),
+    Sampler(FilterMode.BILINEAR),
+    Sampler(FilterMode.TRILINEAR),
+    Sampler(FilterMode.ANISOTROPIC, max_anisotropy=1),
+    Sampler(FilterMode.ANISOTROPIC, max_anisotropy=2),
+    Sampler(FilterMode.ANISOTROPIC, max_anisotropy=3),
+    Sampler(FilterMode.ANISOTROPIC, max_anisotropy=8),
+]
+MODE_IDS = [
+    f"{s.filter_mode.value}{s.max_anisotropy}" if s.filter_mode
+    is FilterMode.ANISOTROPIC else s.filter_mode.value for s in ALL_MODES
+]
+
+
+class TestQuadFootprintsBatch:
+    @pytest.mark.parametrize("sampler", ALL_MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    @given(
+        quads=st.lists(
+            st.tuples(
+                st.floats(min_value=-3.0, max_value=3.0),
+                st.floats(min_value=-3.0, max_value=3.0),
+                st.floats(min_value=-0.3, max_value=0.3),
+                st.floats(min_value=-0.3, max_value=0.3),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_quads_match_scalar(self, sampler, samples, quads):
+        """Negative and >1 UVs (truncation, repeat wrap), every LOD."""
+        texture = Texture(0, 128, 64, base_address=1 << 28)
+        lane_u = np.concatenate([quad_lanes(*q)[0] for q in quads])
+        lane_v = np.concatenate([quad_lanes(*q)[1] for q in quads])
+        assert_rows_match_scalar(sampler, texture, lane_u, lane_v, samples)
+
+    @pytest.mark.parametrize("sampler", ALL_MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize("texels", [1, 2, 4, 8, 64, 128, 1024])
+    def test_integral_and_max_lods_match_scalar(
+        self, texture, sampler, texels
+    ):
+        """Steps of exactly 2**k texels: integral LODs up to and past
+        ``max_lod`` (128 texels is LOD 7 = ``max_lod`` of 128x64)."""
+        lane_u, lane_v = quad_lanes(-0.375, 1.25, texels / 128, 0.0)
+        lods, _ = assert_rows_match_scalar(
+            sampler, texture, lane_u, lane_v, 2
+        )
+        assert lods[0] == np.log2(texels)
+
+    def test_trilinear_second_level_only_between_levels(self, texture):
         sampler = Sampler(FilterMode.TRILINEAR)
-        with pytest.raises(ValueError):
-            sampler.bilinear_lines_batch(
-                texture, np.zeros(1), np.zeros(1), np.zeros(1, dtype=int)
+        per_quad = 4 * 2 * 4  # lanes x levels x neighbours
+        for texels, has_second in ((4, False), (6, True), (128, False),
+                                   (4096, False)):
+            lane_u, lane_v = quad_lanes(0.3, 0.6, texels / 128, 0.0)
+            _, rows = sampler.quad_footprints_batch(
+                texture, lane_u, lane_v, 1
             )
+            assert rows.shape == (1, per_quad)
+            absent = rows.reshape(4, 2, 4)[:, 1] == ABSENT_LINE
+            assert absent.all() != has_second, texels
+
+    @pytest.mark.parametrize("probes", [2, 8])
+    def test_anisotropic_levels_below_log2_probes(self, texture, probes):
+        """Base level 1 minus log2(probes) clamps to level 0."""
+        sampler = Sampler(FilterMode.ANISOTROPIC, max_anisotropy=probes)
+        lane_u, lane_v = quad_lanes(0.7, -0.2, 2 / 128, 0.0)
+        _, rows = assert_rows_match_scalar(
+            sampler, texture, lane_u, lane_v, 1
+        )
+        assert rows.shape == (1, 4 * probes * 4)
+        level0 = texture.texel_line(0, 0, 0), texture.texel_line(127, 63, 0)
+        assert rows.min() >= min(level0) and rows.max() <= max(level0)
 
 
 class TestRasterizerFastPath:
@@ -112,28 +230,41 @@ class TestRasterizerFastPath:
         workload = recipe.build(config)
         fast, _ = FrameRenderer(config).render(workload)
 
-        original = rmod.Rasterizer._batch_footprints
-        rmod.Rasterizer._batch_footprints = (
-            lambda self, u, v, blocks, texture, samples: [
-                self._quad_texture_footprint(u, v, bx, by, texture, samples)
+        # The reference engine with its bilinear batch swapped for the
+        # scalar per-lane footprints.
+        def scalar_footprints(self, u, v, blocks, texture, samples):
+            if texture is None or samples == 0:
+                return [(0.0, ())] * len(blocks)
+            lanes = [
+                [(min(by + dy, u.shape[0] - 1), min(bx + dx, u.shape[1] - 1))
+                 for dy in (0, 1) for dx in (0, 1)]
                 for bx, by in blocks
             ]
-        )
+            lane_u = np.array([[u[p] for p in quad] for quad in lanes])
+            lane_v = np.array([[v[p] for p in quad] for quad in lanes])
+            lods = quad_lods(texture, lane_u, lane_v)
+            return [
+                self._quad_texture_footprint(qu, qv, lod, texture, samples)
+                for qu, qv, lod in zip(
+                    lane_u.tolist(), lane_v.tolist(), lods.tolist()
+                )
+            ]
+
+        original = rmod.Rasterizer._batch_footprints
+        rmod.Rasterizer._batch_footprints = scalar_footprints
         try:
-            scalar, _ = FrameRenderer(config).render(workload)
+            scalar, _ = FrameRenderer(config, engine="reference").render(
+                workload
+            )
         finally:
             rmod.Rasterizer._batch_footprints = original
 
-        assert fast.total_quads == scalar.total_quads
-        for tile in fast.tiles:
-            for a, b in zip(fast.tiles[tile].quads, scalar.tiles[tile].quads):
-                assert a.texture_lines == b.texture_lines
-                assert a.lod == pytest.approx(b.lod)
+        assert fast == scalar
 
-    def test_trilinear_still_works(self):
-        """Non-bilinear modes use the scalar fallback transparently."""
+    def test_trilinear_takes_the_fast_pass(self):
+        """Non-bilinear modes batch too, identically to the reference."""
         from repro.config import GPUConfig
-        from repro.sim.driver import FrameRenderer
+        from repro.sim.driver import FrameRenderer, _FastTilePass
         from repro.workloads.recipe import SceneRecipe
 
         config = GPUConfig(screen_width=64, screen_height=64)
@@ -141,8 +272,13 @@ class TestRasterizerFastPath:
             name="tri", seed=5, is_3d=False, texture_budget_mib=0.2,
             depth_complexity=1.0,
         )
-        trace, _ = FrameRenderer(
-            config, Sampler(FilterMode.TRILINEAR)
-        ).render(recipe.build(config))
-        assert trace.total_quads > 0
+        workload = recipe.build(config)
+        sampler = Sampler(FilterMode.TRILINEAR)
+        renderer = FrameRenderer(config, sampler)
+        assert isinstance(renderer.begin_tiles(workload), _FastTilePass)
+        trace, _ = renderer.render(workload)
+        reference, _ = FrameRenderer(
+            config, sampler, engine="reference"
+        ).render(workload)
         assert trace.total_texture_lines > 0
+        assert trace == reference
