@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
+import numpy as np
+
 from repro.analysis.reuse import reuse_profile
 from repro.config import CacheConfig
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, replay_caches
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,9 @@ def decompose_misses(
     fa_misses = len(lines) - fa_hits
 
     real = Cache(config)
-    for line in lines:
-        real.access_line(line)
+    replay_caches(
+        (real,), np.asarray(lines, np.int64), np.zeros(len(lines), np.intp)
+    )
     real_misses = real.stats.misses
 
     cold = profile.cold_accesses

@@ -15,7 +15,7 @@ checked in next to the code it governs::
     exclude = ["repro.core.dtexl.DTexLConfig.build_scheduler"]
 
     [purity]
-    entrypoints = ["repro.sim.replay.TraceReplayer._tile_quads_fast"]
+    entrypoints = ["repro.memory.hierarchy.MemoryHierarchy.replay_group"]
     forbidden = ["repro.memory.cache.ReferenceCache"]
 
     [profile]

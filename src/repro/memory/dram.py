@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import DRAMConfig
+from repro.errors import ConfigError
 
 
 @dataclass
@@ -56,19 +59,23 @@ class DRAM:
         self.stats.total_latency += latency
         return latency
 
-    def access_lines(self, lines) -> int:
-        """Record a batch of accesses; returns their total latency.
+    def access_array(self, lines: np.ndarray) -> np.ndarray:
+        """Record a batch of accesses; returns each one's latency.
 
-        Counter updates are identical to calling :meth:`access_line`
-        once per element (latency is a pure function of the line, so the
-        batch total is order-independent).
+        :meth:`latency_for_line` over an int64 array, in uint64
+        arithmetic: exact for line numbers below 2**32 (byte addresses
+        below 256 GiB), which every simulated address is.
         """
-        total = 0
-        for line in lines:
-            total += self.latency_for_line(line)
+        if len(lines) and int(lines.max()) >> 32:
+            raise ConfigError("line number past 2**32 in the DRAM hash")
+        band = self.config.max_latency - self.config.min_latency + 1
+        jitter = (
+            (lines.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)
+        ) % np.uint64(band)
+        latency = self.config.min_latency + jitter.astype(np.int64)
         self.stats.accesses += len(lines)
-        self.stats.total_latency += total
-        return total
+        self.stats.total_latency += int(latency.sum())
+        return latency
 
     def reset(self) -> None:
         self.stats.reset()

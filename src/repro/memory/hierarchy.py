@@ -11,25 +11,26 @@ returning an :class:`AccessResult` with the level serviced and total
 latency, while maintaining per-level statistics.  ``l2.stats.accesses`` is
 the paper's headline "L2 Accesses" metric.
 
-The batched counterparts (:meth:`texture_access_lines`,
-:meth:`vertex_access_lines`, :meth:`tile_access_lines`) walk a whole
-footprint per call without allocating per-access result records; they
-update every counter in the same per-line order as the scalar entry
-points and are the replay engine's hot path.  ``backend`` selects the
-cache implementation: ``"fast"`` (array-backed, the default) or
-``"reference"`` (the OrderedDict specification the differential tests
-compare against).
+The replay engine instead hands :meth:`replay_group` a whole group of
+tiles, which runs through the exact array kernel
+(:func:`~repro.memory.cache.replay_caches`) with the same counters.
+``backend`` selects the cache implementation: ``"fast"`` (array-backed,
+the default, the one :meth:`replay_group` needs) or ``"reference"``
+(the OrderedDict specification the differential tests compare against).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import GPUConfig
 from repro.errors import ConfigError
-from repro.memory.cache import Cache, CacheStats, ReferenceCache
+from repro.memory.cache import Cache, CacheStats, ReferenceCache, replay_caches
 from repro.memory.dram import DRAM
 
 #: backend name -> cache class, for :class:`MemoryHierarchy`.
@@ -117,47 +118,63 @@ class MemoryHierarchy:
             self.tile_cache, self.config.tile_cache.hit_latency, line
         )
 
-    # -- batched traffic (the replay engine's hot path) -----------------------
+    # -- one tile group through the whole hierarchy (the replay engine) -------
 
-    def _access_lines(self, l1, lines: Sequence[int]) -> Tuple[int, int]:
-        """Drive ``lines`` through ``l1`` and the shared L2/DRAM below it.
+    def replay_group(
+        self,
+        vertex_lines: Sequence[Sequence[int]],
+        fetch_lines: Sequence[Sequence[int]],
+        cores: np.ndarray,
+        lines: np.ndarray,
+        bounds: np.ndarray,
+        miss_overhead: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Drive one group of tiles' traffic through every level.
 
-        Returns ``(l1_hits, below_latency)`` where ``below_latency`` is
-        the summed service latency beneath the L1 for every missing line
-        (L2 hit latency per miss, plus the DRAM fill latency for lines
-        the L2 missed too).  Every cache and DRAM counter advances
-        exactly as if each line had gone through the scalar path.
+        Tile ``t`` fetches ``vertex_lines[t]`` (vertex cache), then
+        ``fetch_lines[t]`` (tile cache), then its texture lines
+        ``lines[bounds[t]:bounds[t + 1]]``, line ``i`` from shader core
+        ``cores[i]``; the L2 sees the misses in that order.  Returns the
+        positions of the texture lines that missed their L1 and each
+        one's stall: the L2 hit latency plus ``miss_overhead``, plus the
+        DRAM fill if the L2 missed too.  Every cache and counter ends
+        exactly as the per-line entry points would leave it.
         """
-        hits, missed = l1.access_lines(lines)
-        if not missed:
-            return hits, 0
-        _, to_dram = self.l2.access_lines(missed)
-        below = len(missed) * self.config.l2_cache.hit_latency
-        if to_dram:
-            below += self.dram.access_lines(to_dram)
-        return hits, below
-
-    def texture_access_lines(
-        self, sc_id: int, lines: Sequence[int], miss_overhead: int = 0
-    ) -> Tuple[int, int]:
-        """Texture footprint fetch from shader core ``sc_id``.
-
-        Returns ``(l1_hits, stall_cycles)``; each L1 miss stalls for the
-        service latency below the L1 plus ``miss_overhead`` (the NoC +
-        replay penalty the shader model charges per miss) — the same
-        arithmetic the scalar replay path applies per line.
-        """
-        hits, below = self._access_lines(self.texture_l1s[sc_id], lines)
-        misses = len(lines) - hits
-        return hits, below + misses * miss_overhead
-
-    def vertex_access_lines(self, lines: Sequence[int]) -> Tuple[int, int]:
-        """Batched Geometry Pipeline fetches; returns (hits, below-L1 latency)."""
-        return self._access_lines(self.vertex_cache, lines)
-
-    def tile_access_lines(self, lines: Sequence[int]) -> Tuple[int, int]:
-        """Batched Parameter Buffer fetches; returns (hits, below-L1 latency)."""
-        return self._access_lines(self.tile_cache, lines)
+        # One kernel call for level one: the texture lines, then every
+        # tile's vertex and Parameter Buffer lines (disjoint caches, so
+        # only the order within each one matters).
+        front = list(chain.from_iterable(zip(vertex_lines, fetch_lines)))
+        sizes = [len(part) for part in front]
+        n_texture = len(lines)
+        lines = np.concatenate((
+            lines, np.fromiter(chain.from_iterable(front), np.int64, sum(sizes))
+        ))
+        missed = replay_caches(
+            (*self.texture_l1s, self.vertex_cache, self.tile_cache),
+            lines,
+            np.concatenate((cores, np.repeat(np.tile(
+                len(self.texture_l1s) + np.arange(2), len(vertex_lines)
+            ), sizes))),
+        )
+        texture = np.searchsorted(missed, n_texture)
+        # The L2 stream: per tile, its front misses, then its texture
+        # misses.  Both runs of ``missed`` are in tile order; merge them.
+        order = np.argsort(np.concatenate((
+            2 * np.searchsorted(bounds, missed[:texture], side="right") - 1,
+            np.repeat(np.arange(len(front)) // 2 * 2, sizes)[
+                missed[texture:] - n_texture
+            ],
+        )), kind="stable")
+        below = lines[missed[order]]
+        fill = np.zeros(len(below), dtype=np.int64)
+        to_dram = replay_caches(
+            (self.l2,), below, np.zeros(len(below), dtype=np.intp)
+        )
+        fill[to_dram] = self.dram.access_array(below[to_dram])
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        stall = self.config.l2_cache.hit_latency + miss_overhead
+        return missed[:texture], stall + fill[position[:texture]]
 
     # -- statistics -----------------------------------------------------------
 

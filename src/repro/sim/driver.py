@@ -26,7 +26,8 @@ ever materializing the full frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -74,44 +75,58 @@ class TileTraceEntry:
     fetch_lines: List[int] = field(default_factory=list)
     fetch_cycles: int = 1
     quads: List[Quad] = field(default_factory=list)
-    #: Lazy cache for :meth:`quad_stream`; derived data, never pickled
-    #: or compared.
-    _stream: Optional[List[Tuple[int, Tuple[int, ...], int, int]]] = field(
+    #: Lazy :meth:`replay_view`; derived data, never pickled or compared.
+    _view: Optional["ReplayView"] = field(
         default=None, repr=False, compare=False
     )
-    _stream_side: int = field(default=0, repr=False, compare=False)
+    _view_side: int = field(default=0, repr=False, compare=False)
 
-    def quad_stream(
-        self, side: int
-    ) -> List[Tuple[int, Tuple[int, ...], int, int]]:
-        """Per quad: ``(qy * side + qx, texture_lines, num_lines,
-        compute_cycles)``.
+    def replay_view(self, side: int) -> "ReplayView":
+        """The tile's quads as columns, the form the replay kernel reads.
 
-        The flattened form the replay hot loop consumes — quad identity
-        reduced to the scheduler-LUT slot, plus the per-quad cost
-        inputs.  Computed once per entry and reused across every design
-        point and engine replaying the trace (the derivation is pure,
-        so sharing cannot couple replays).
+        Built once per entry and reused across every design point
+        replaying the trace (the derivation is pure, so sharing cannot
+        couple replays).
         """
-        stream = self._stream
-        if stream is None or self._stream_side != side:
-            stream = [
-                (
-                    q.qy * side + q.qx,
-                    q.texture_lines,
-                    len(q.texture_lines),
-                    q.alu_cycles + len(q.texture_lines),
-                )
-                for q in self.quads
-            ]
-            self._stream = stream
-            self._stream_side = side
-        return stream
+        view = self._view
+        if view is None or self._view_side != side:
+            quads = self.quads
+            columns = list(zip(*quads)) or [()] * len(Quad._fields)
+            _, qx, qy, _, _, _, alu, texture, *_ = columns
+            counts = np.fromiter(map(len, texture), np.int64, len(quads))
+            view = ReplayView(
+                slots=np.array(qy, dtype=np.int64) * side
+                + np.array(qx, dtype=np.int64),
+                counts=counts,
+                issue=np.array(alu, dtype=np.int64) + counts,
+                lines=np.fromiter(
+                    chain.from_iterable(texture), np.int64, int(counts.sum())
+                ),
+                fetch_lines=self.fetch_lines,
+                fetch_cycles=self.fetch_cycles,
+            )
+            self._view = view
+            self._view_side = side
+        return view
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_stream"] = None  # derived; keep checkpoints lean
+        state["_view"] = None  # derived; keep checkpoints lean
         return state
+
+
+class ReplayView(NamedTuple):
+    """A tile as the replay kernel reads it.  Per quad: its core-LUT slot
+    ``qy * side + qx``, texture line count and issue cycles; every quad's
+    lines, concatenated in quad order (CSR rows of length ``counts``);
+    and the tile's own Parameter Buffer fetch."""
+
+    slots: np.ndarray
+    counts: np.ndarray
+    issue: np.ndarray
+    lines: np.ndarray
+    fetch_lines: List[int]
+    fetch_cycles: int
 
 
 @dataclass

@@ -134,7 +134,7 @@ class AnimationSimulator:
     ) -> AnimationResult:
         """Simulate every frame; caches persist unless asked otherwise."""
         gpu = design.effective_gpu_config(self.config)
-        hierarchy = MemoryHierarchy(gpu)
+        hierarchy = MemoryHierarchy(gpu, backend=self.replayer.engine)
         result = AnimationResult(design_point=design.name)
         for frame in range(animation.num_frames):
             if cold_caches_each_frame:

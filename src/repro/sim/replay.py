@@ -8,20 +8,28 @@ model and the energy model.
 
 Two engines produce bit-identical :class:`RunResult` records:
 
-* ``"fast"`` (default) — batched: each quad's whole texture footprint
-  goes through :meth:`~repro.memory.hierarchy.MemoryHierarchy.
-  texture_access_lines` in one call, the per-tile quad -> core schedule
-  is a precomputed :meth:`~repro.core.scheduler.QuadScheduler.core_lut`
-  table, and per-subtile cycles accumulate in flat per-core arrays.
+* ``"fast"`` (default) — array replay of groups of
+  :data:`~repro.sim.driver.DEFAULT_GROUP_TILES` tiles: the tiles'
+  columnar views (:meth:`~repro.sim.driver.TileTraceEntry.replay_view`)
+  go to cores by :meth:`~repro.core.scheduler.QuadScheduler.core_lut`,
+  one :meth:`~repro.memory.hierarchy.MemoryHierarchy.replay_group` call
+  runs every line through the exact LRU kernel, and ``np.bincount``
+  sums quads, issue cycles and stalls per subtile.  Cache state carries
+  from group to group, so grouping changes nothing.
 * ``"reference"`` — the original per-line loop over scalar
   ``texture_access`` calls on the ``OrderedDict`` cache backend, kept
   as the executable specification for differential tests.
+
+Each engine needs a hierarchy of its own backend built for the design
+point's GPU config; a caller's warm hierarchy is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from repro.config import GPUConfig
 from repro.core.dtexl import DTexLConfig
@@ -37,7 +45,7 @@ from repro.raster.pipeline import (
     SubtileWork,
     TileWork,
 )
-from repro.sim.driver import FrameTrace
+from repro.sim.driver import DEFAULT_GROUP_TILES, FrameTrace
 from repro.sim.resilience import ReplayBudget
 from repro.sim.stream import BatchTileStream, TileWorkUnit  # noqa: F401 — re-exported for replay callers
 
@@ -160,51 +168,45 @@ class TraceReplayer:
         access order bit for bit.
         """
         gpu = design.effective_gpu_config(self.config)
-        fast = self.engine == "fast"
         if hierarchy is None:
-            hierarchy = MemoryHierarchy(
-                gpu, backend="fast" if fast else "reference"
+            hierarchy = MemoryHierarchy(gpu, backend=self.engine)
+        elif hierarchy.config != gpu or hierarchy.backend != self.engine:
+            raise ConfigError(
+                f"{design.name}: the {self.engine} replay engine needs a "
+                f"{self.engine!r} hierarchy built for this design point's "
+                f"GPU config; got a {hierarchy.backend!r} hierarchy"
+                + ("" if hierarchy.config == gpu else " of another config")
             )
         before = _CounterSnapshot.of(hierarchy)
         # The scheduler always reasons over 4 subtile slots; the
         # upper-bound run folds them onto its single SC below.
         scheduler = design.build_scheduler(self.config)
-        n_cores = gpu.num_shader_cores
+        side = scheduler.config.quads_per_tile_side
 
         tile_works: List[TileWork] = []
-        per_tile_counts: List[List[int]] = []
         total_quads = 0
-        process = self._tile_quads_fast if fast else self._tile_quads_reference
+        fast = self.engine == "fast"
+        process = self._group_fast if fast else self._group_reference
         # Hot loop: resolve attribute chains once, not per tile.
         check_quads = self.budget.check_quads
+        group: List[TileWorkUnit] = []
         with stream.open(scheduler.tiles) as units:
             for unit in units:
-                entry = unit.entry
-                vertex_lines = unit.vertex_lines
-                if fast:
-                    if vertex_lines:
-                        hierarchy.vertex_access_lines(vertex_lines)
-                    hierarchy.tile_access_lines(entry.fetch_lines)
-                else:
-                    for line in vertex_lines:
-                        hierarchy.vertex_access(line)
-                    for line in entry.fetch_lines:
-                        hierarchy.tile_access(line)
-                step = unit.step
-                subtiles, counts = process(
-                    entry, scheduler, step, hierarchy, gpu, n_cores
-                )
-                total_quads += len(entry.quads)
-                tile_works.append(
-                    TileWork(
-                        tile=unit.tile,
-                        step=step,
-                        fetch_cycles=entry.fetch_cycles,
-                        subtiles=subtiles,
-                    )
-                )
-                per_tile_counts.append(counts)
+                total_quads += len(unit.entry.quads)
                 check_quads(total_quads, design.name)
+                if fast:
+                    # Hold the tile's columns, not its Quads, while the
+                    # group fills: a streamed entry can be freed now.
+                    unit = unit._replace(entry=unit.entry.replay_view(side))
+                group.append(unit)
+                if len(group) == DEFAULT_GROUP_TILES:
+                    tile_works += process(group, scheduler, hierarchy, gpu)
+                    group.clear()
+            if group:
+                tile_works += process(group, scheduler, hierarchy, gpu)
+        per_tile_counts = [
+            [sub.num_quads for sub in work.subtiles] for work in tile_works
+        ]
 
         replication = hierarchy.replication_factor()
         pipeline = RasterPipelineModel(gpu, design.decoupled)
@@ -248,161 +250,72 @@ class TraceReplayer:
             framebuffer_write_lines=fb_lines,
         )
 
-    # -- per-tile quad processing ---------------------------------------------
+    # -- per-group quad processing --------------------------------------------
 
     @staticmethod
-    def _tile_quads_fast(entry, scheduler, step, hierarchy, gpu, n_cores):
-        """Batched quad stream of one tile: returns (subtiles, counts).
-
-        One ``texture_access_lines`` call per quad, a precomputed
-        quad -> core table, and flat per-core accumulators instead of
-        per-quad ``SubtileWork`` attribute updates.  Arithmetic is
-        line-for-line the reference path's.
-        """
-        lut = scheduler.core_lut(step, n_cores)
-        side = scheduler.config.quads_per_tile_side
-        # Every L1 miss costs the L2 hit latency plus the NoC/replay
-        # overhead; an L2 miss adds the DRAM fill on top.
-        miss_cost = gpu.l2_cache.hit_latency + gpu.shader.miss_overhead_cycles
-
-        # Inlined Cache.access_lines over exported per-L1 (and shared
-        # L2) state: one Python call per quad is too expensive at trace
-        # scale, so the LRU body is replicated here (pinned bit-for-bit
-        # by the differential tests) and the statistics flush once per
-        # tile.
-        l1s = hierarchy.texture_l1s
-        state = [l1.acquire_state() for l1 in l1s]
-        l1_index = [s[0] for s in state]
-        l1_ages = [s[1] for s in state]
-        l1_tags = [s[2] for s in state]
-        num_sets = state[0][3]
-        ways = state[0][4]
-        l1_tick = [s[5] for s in state]
-        l1_hits = [0] * n_cores
-        l1_misses = [0] * n_cores
-        l1_evictions = [0] * n_cores
-
-        l2 = hierarchy.l2
-        l2_index, l2_ages, l2_tags, l2_sets, l2_ways, l2_tick = (
-            l2.acquire_state()
+    def _group_fast(group, scheduler, hierarchy, gpu):
+        """Units carrying their ``ReplayView`` as entry: route quads to
+        cores by LUT, replay every line in one ``replay_group`` call, and
+        return the tiles' ``TileWork`` (per-core quads, issue cycles and
+        stalls)."""
+        n_cores = gpu.num_shader_cores
+        views = [unit.entry for unit in group]
+        luts = np.array([scheduler.core_lut(u.step, n_cores) for u in group])
+        quad_tile = np.repeat(
+            np.arange(len(group)), [len(view.slots) for view in views]
         )
-        l2_hits = l2_miss = l2_evictions = 0
-        dram = hierarchy.dram
-        dram_min = dram.config.min_latency
-        dram_band = dram.config.max_latency - dram_min + 1
-        dram_n = dram_latency = 0
-
-        num_quads = [0] * n_cores
-        compute = [0] * n_cores
-        stalls = [0] * n_cores
-        for slot, lines, n_lines, issue in entry.quad_stream(side):
-            core = lut[slot]
-            num_quads[core] += 1
-            compute[core] += issue
-            if not lines:
-                continue
-            index = l1_index[core]
-            ages = l1_ages[core]
-            tick = l1_tick[core]
-            n_miss = 0
-            stall = 0
-            for line in lines:
-                tick += 1
-                slot = index.get(line)
-                if slot is not None:
-                    ages[slot] = tick
-                    continue
-                n_miss += 1
-                tags = l1_tags[core]
-                base = (line % num_sets) * ways
-                victim = base
-                victim_age = None
-                for i in range(base, base + ways):
-                    tag = tags[i]
-                    if tag == -1:
-                        victim = i
-                        victim_age = None
-                        break
-                    age = ages[i]
-                    if victim_age is None or age < victim_age:
-                        victim_age = age
-                        victim = i
-                if victim_age is not None:
-                    l1_evictions[core] += 1
-                    del index[tags[victim]]
-                tags[victim] = line
-                ages[victim] = tick
-                index[line] = victim
-                # Below the L1: the shared L2 (same inlined LRU body),
-                # then DRAM's deterministic banded latency — the Knuth
-                # multiplicative hash from DRAM.latency_for_line, same
-                # arithmetic as texture_access_lines.
-                l2_tick += 1
-                slot2 = l2_index.get(line)
-                if slot2 is not None:
-                    l2_ages[slot2] = l2_tick
-                    l2_hits += 1
-                    stall += miss_cost
-                    continue
-                l2_miss += 1
-                base = (line % l2_sets) * l2_ways
-                victim = base
-                victim_age = None
-                for i in range(base, base + l2_ways):
-                    tag = l2_tags[i]
-                    if tag == -1:
-                        victim = i
-                        victim_age = None
-                        break
-                    age = l2_ages[i]
-                    if victim_age is None or age < victim_age:
-                        victim_age = age
-                        victim = i
-                if victim_age is not None:
-                    l2_evictions += 1
-                    del l2_index[l2_tags[victim]]
-                l2_tags[victim] = line
-                l2_ages[victim] = l2_tick
-                l2_index[line] = victim
-                dram_n += 1
-                fill = dram_min + ((line * 2654435761) >> 7) % dram_band
-                dram_latency += fill
-                stall += miss_cost + fill
-            l1_tick[core] = tick
-            if n_miss:
-                l1_hits[core] += n_lines - n_miss
-                l1_misses[core] += n_miss
-                stalls[core] += stall
-            else:
-                l1_hits[core] += n_lines
-
-        for b in range(n_cores):
-            l1s[b].release_state(
-                l1_tick[b], l1_hits[b], l1_misses[b], l1_evictions[b]
-            )
-        l2.release_state(l2_tick, l2_hits, l2_miss, l2_evictions)
-        dram.stats.accesses += dram_n
-        dram.stats.total_latency += dram_latency
-        subtiles = [
-            SubtileWork(num_quads[b], compute[b], stalls[b])
-            for b in range(n_cores)
+        quad_core = luts[quad_tile, np.concatenate([v.slots for v in views])]
+        cores = np.repeat(quad_core, np.concatenate([v.counts for v in views]))
+        bounds = np.cumsum([0] + [len(view.lines) for view in views])
+        missed, stall = hierarchy.replay_group(
+            [unit.vertex_lines for unit in group],
+            [view.fetch_lines for view in views],
+            cores,
+            np.concatenate([view.lines for view in views]),
+            bounds,
+            gpu.shader.miss_overhead_cycles,
+        )
+        cells = len(group) * n_cores
+        cell = quad_tile * n_cores + quad_core
+        miss_cell = (
+            np.searchsorted(bounds, missed, side="right") - 1
+        ) * n_cores + cores[missed]
+        quads = np.bincount(cell, minlength=cells).tolist()
+        # Float sums of integers stay exact far beyond any frame's cycles.
+        compute = np.bincount(
+            cell, np.concatenate([view.issue for view in views]), cells
+        ).astype(np.int64).tolist()
+        stalls = np.bincount(miss_cell, stall, cells).astype(np.int64).tolist()
+        return [
+            TileWork(unit.tile, unit.step, views[t].fetch_cycles, [
+                SubtileWork(quads[c], compute[c], stalls[c])
+                for c in range(t * n_cores, (t + 1) * n_cores)
+            ])
+            for t, unit in enumerate(group)
         ]
-        return subtiles, num_quads
 
     @staticmethod
-    def _tile_quads_reference(entry, scheduler, step, hierarchy, gpu, n_cores):
-        """The original scalar per-line loop (executable specification)."""
+    def _group_reference(group, scheduler, hierarchy, gpu):
+        """The original scalar per-line loop (the executable spec)."""
+        n_cores = gpu.num_shader_cores
         l1_hit_latency = gpu.texture_cache.hit_latency
         miss_overhead = gpu.shader.miss_overhead_cycles
-        subtiles = [SubtileWork() for _ in range(n_cores)]
-        perm = scheduler.permutation_at(step)
         slot_of = scheduler.slot_of
-        for quad in entry.quads:
-            core = perm[slot_of(quad.qx, quad.qy)] % n_cores
-            stall = 0
-            for line in quad.texture_lines:
-                result = hierarchy.texture_access(core, line)
-                if not result.l1_hit:
-                    stall += result.latency - l1_hit_latency + miss_overhead
-            subtiles[core].add_quad(quad.compute_cycles, stall)
-        return subtiles, [s.num_quads for s in subtiles]
+        for unit in group:
+            for line in unit.vertex_lines:
+                hierarchy.vertex_access(line)
+            for line in unit.entry.fetch_lines:
+                hierarchy.tile_access(line)
+            subtiles = [SubtileWork() for _ in range(n_cores)]
+            perm = scheduler.permutation_at(unit.step)
+            for quad in unit.entry.quads:
+                core = perm[slot_of(quad.qx, quad.qy)] % n_cores
+                stall = 0
+                for line in quad.texture_lines:
+                    result = hierarchy.texture_access(core, line)
+                    if not result.l1_hit:
+                        stall += result.latency - l1_hit_latency + miss_overhead
+                subtiles[core].add_quad(quad.compute_cycles, stall)
+            yield TileWork(
+                unit.tile, unit.step, unit.entry.fetch_cycles, subtiles
+            )

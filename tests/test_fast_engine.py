@@ -10,14 +10,16 @@ Three layers, three equivalences, all required to be exact:
 * ``DesignSweep.run(jobs=N)`` vs serial: identical rows, failures,
   resumed lists and manifest (minus wall time).
 
-These pin the inlined LRU body in ``_tile_quads_fast`` — any drift in
-the fast path from the executable specification fails here.
+These pin the lockstep LRU kernel behind ``TraceReplayer._group_fast``
+(``tests/test_lru_kernel.py`` holds its line-level oracle) — any drift
+in the fast path from the executable specification fails here.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,16 +28,22 @@ from repro.config import CacheConfig, GPUConfig
 from repro.core.dtexl import (
     BASELINE,
     DTEXL_BEST,
+    PAPER_CONFIGURATIONS,
     DTexLConfig,
 )
-from repro.errors import ConfigError
-from repro.memory.cache import Cache, ReferenceCache
+from repro.errors import BudgetExceededError, ConfigError
+from repro.memory.cache import Cache, ReferenceCache, replay_caches
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.driver import TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
+from repro.sim.multiframe import AnimationSimulator
 from repro.sim.replay import ENGINES, TraceReplayer
+from repro.sim.resilience import ReplayBudget
+from repro.sim.stream import STREAM_DRIVERS, BatchTileStream
 from repro.sim.sweep import DesignSweep
 from repro.shader.shader_core import ShaderCore
+from repro.workloads.animation import Animation
+from tests.test_lru_kernel import lru_sets
 
 
 def small_cache_config(size=512, line=64, ways=2) -> CacheConfig:
@@ -93,25 +101,39 @@ class TestCacheDifferential:
         assert batched.stats == scalar.stats
         assert batched.resident_line_set() == scalar.resident_line_set()
 
+    @given(
+        lines=line_streams, dropped=line_streams, more=line_streams,
+        ways=way_counts,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_probe_and_invalidate_identical(self, lines, dropped, more, ways):
+        """Invalidated ways are refilled first, by both access paths."""
+        fast = Cache(small_cache_config(ways=ways))
+        ref = ReferenceCache(small_cache_config(ways=ways))
+        for line in lines:
+            assert fast.access_line(line) == ref.access_line(line)
+        for line in dropped:
+            assert fast.probe(line * 64) == ref.probe(line * 64)
+            fast.invalidate(line * 64)
+            ref.invalidate(line * 64)
+        half = len(more) // 2
+        missed = replay_caches(
+            (fast,), np.array(more[:half], dtype=np.int64),
+            np.zeros(half, dtype=np.intp),
+        ).tolist()
+        assert [i not in missed for i in range(half)] == [
+            ref.access_line(line) for line in more[:half]
+        ]
+        for line in more[half:]:
+            assert fast.access_line(line) == ref.access_line(line)
+        assert fast.resident_line_set() == ref.resident_line_set()
+        assert fast.resident_lines == ref.resident_lines
+        assert fast.stats == ref.stats
+
     def test_missed_lines_preserve_stream_order(self):
         cache = Cache(small_cache_config())
         _, missed = cache.access_lines([5, 3, 5, 9, 3, 11])
         assert missed == [5, 3, 9, 11]
-
-    def test_acquire_release_roundtrip(self):
-        """State handed to an inlined loop writes back exactly."""
-        cache = Cache(small_cache_config())
-        cache.access_lines([1, 2, 1])
-        index, ages, tags, num_sets, ways, tick = cache.acquire_state()
-        assert index is cache._index and ages is cache._ages
-        assert tags is cache._tags
-        assert (num_sets, ways) == (cache._num_sets, cache._ways)
-        assert tick == 3
-        cache.release_state(tick + 4, hits=3, misses=1, evictions=1)
-        assert cache._tick == 7
-        assert cache.stats.accesses == 7  # 3 prior + 4 released
-        assert cache.stats.hits == 4 and cache.stats.misses == 3
-        assert cache.stats.evictions == 1
 
 
 # -- fast vs reference replay ---------------------------------------------
@@ -153,6 +175,39 @@ class TestReplayEngineEquivalence:
             want = ref.run(tiny_trace, BASELINE, hierarchy=warm_ref)
             assert got == want
 
+    def test_fast_engine_rejects_reference_hierarchy(
+        self, tiny_config, tiny_trace
+    ):
+        warm = MemoryHierarchy(tiny_config, backend="reference")
+        with pytest.raises(ConfigError, match="'reference' hierarchy"):
+            TraceReplayer(tiny_config).run(
+                tiny_trace, BASELINE, hierarchy=warm
+            )
+
+    def test_reference_engine_rejects_fast_hierarchy(
+        self, tiny_config, tiny_trace
+    ):
+        replayer = TraceReplayer(tiny_config, engine="reference")
+        with pytest.raises(ConfigError, match="'fast' hierarchy"):
+            replayer.run(
+                tiny_trace, BASELINE, hierarchy=MemoryHierarchy(tiny_config)
+            )
+
+    def test_hierarchy_must_fit_the_design_point(
+        self, tiny_config, tiny_trace
+    ):
+        """The upper bound runs one SC with a 4x L1, not the default 4 SCs."""
+        upper = PAPER_CONFIGURATIONS["upper-bound"]
+        replayer = TraceReplayer(tiny_config)
+        with pytest.raises(ConfigError, match="another config"):
+            replayer.run(
+                tiny_trace, upper, hierarchy=MemoryHierarchy(tiny_config)
+            )
+        fitted = MemoryHierarchy(upper.effective_gpu_config(tiny_config))
+        assert replayer.run(tiny_trace, upper, hierarchy=fitted) == (
+            replayer.run(tiny_trace, upper)
+        )
+
     def test_engine_names(self):
         assert ENGINES == ("fast", "reference")
 
@@ -165,33 +220,125 @@ class TestReplayEngineEquivalence:
             MemoryHierarchy(tiny_config, backend="turbo")
 
 
+def hierarchy_state(hierarchy):
+    caches = (
+        *hierarchy.texture_l1s, hierarchy.vertex_cache,
+        hierarchy.tile_cache, hierarchy.l2,
+    )
+    return [(lru_sets(cache), cache.stats) for cache in caches]
+
+
+ANIMATED_DESIGNS = [
+    PAPER_CONFIGURATIONS[name]
+    for name in ("baseline", "HLB-flp2", "upper-bound")
+]
+
+
+class TestWarmAnimationDifferential:
+    """Three warm frames: every cache's contents and LRU order, per frame."""
+
+    @pytest.mark.parametrize("stream", STREAM_DRIVERS)
+    @pytest.mark.parametrize(
+        "design", ANIMATED_DESIGNS, ids=lambda d: d.name
+    )
+    def test_frames_and_cache_state_identical(
+        self, tiny_config, stream, design
+    ):
+        animation = Animation.of_game("SWa", num_frames=3)
+        results = {}
+        states = {}
+        for engine in ENGINES:
+            sim = AnimationSimulator(tiny_config, stream=stream)
+            sim.replayer = TraceReplayer(tiny_config, engine=engine)
+            frames = states[engine] = []
+            replay = sim.replayer.run_stream
+
+            def spy(units, point, hierarchy=None, replay=replay, frames=frames):
+                result = replay(units, point, hierarchy=hierarchy)
+                frames.append(hierarchy_state(hierarchy))
+                return result
+
+            sim.replayer.run_stream = spy
+            results[engine] = sim.run(animation, design)
+        assert results["fast"] == results["reference"]
+        assert len(states["fast"]) == 3
+        for got, want in zip(states["fast"], states["reference"]):
+            assert got == want
+
+
+class _CountingStream(BatchTileStream):
+    """A batch stream that counts the units it delivered."""
+
+    delivered = 0
+
+    def __iter__(self):
+        for unit in super().__iter__():
+            self.delivered += 1
+            yield unit
+
+
+class TestQuadBudget:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trips_on_the_tile_that_crosses_it(
+        self, small_config, small_game_trace, engine
+    ):
+        """Grouping never lets a replay run past its quad budget."""
+        scheduler = BASELINE.build_scheduler(small_config)
+        running = np.cumsum([
+            len(small_game_trace.tiles[tile].quads)
+            if tile in small_game_trace.tiles else 0
+            for tile in scheduler.tiles
+        ])
+        limit = int(running[len(running) // 2 - 3])
+        crossing = int(np.argmax(running > limit))
+        stream = _CountingStream(small_game_trace)
+        replayer = TraceReplayer(
+            small_config, budget=ReplayBudget(max_quads=limit), engine=engine
+        )
+        with pytest.raises(BudgetExceededError, match="quad budget"):
+            replayer.run_stream(stream, BASELINE)
+        assert stream.delivered == crossing + 1
+
+
 class TestQuadStream:
+    """The columnar ``replay_view``: the form the replay kernel reads."""
+
     def test_stream_matches_quads(self, tiny_trace, tiny_config):
         side = tiny_config.tile_size // 2
         entry = next(
             e for e in tiny_trace.tiles.values() if e.quads
         )
-        stream = entry.quad_stream(side)
-        assert len(stream) == len(entry.quads)
-        for (slot, lines, n_lines, issue), quad in zip(stream, entry.quads):
-            assert slot == quad.qy * side + quad.qx
-            assert lines == quad.texture_lines
-            assert n_lines == len(quad.texture_lines)
-            assert issue == quad.compute_cycles
+        view = entry.replay_view(side)
+        assert len(view.slots) == len(entry.quads)
+        assert view.slots.tolist() == [
+            quad.qy * side + quad.qx for quad in entry.quads
+        ]
+        assert view.counts.tolist() == [
+            len(quad.texture_lines) for quad in entry.quads
+        ]
+        assert view.issue.tolist() == [
+            quad.compute_cycles for quad in entry.quads
+        ]
+        bounds = np.cumsum([0] + view.counts.tolist())
+        for quad, lo, hi in zip(entry.quads, bounds, bounds[1:]):
+            assert tuple(view.lines[lo:hi].tolist()) == quad.texture_lines
+        assert view.lines.dtype == np.int64
 
     def test_stream_is_cached_per_side(self):
         entry = TileTraceEntry()
-        assert entry.quad_stream(16) is entry.quad_stream(16)
-        first = entry.quad_stream(16)
-        entry.quad_stream(8)  # side change invalidates
-        assert entry.quad_stream(8) is not first
+        assert entry.replay_view(16) is entry.replay_view(16)
+        first = entry.replay_view(16)
+        entry.replay_view(8)  # side change invalidates
+        assert entry.replay_view(8) is not first
+        assert len(first.lines) == 0
 
-    def test_pickle_drops_derived_stream(self):
-        entry = TileTraceEntry()
-        entry.quad_stream(16)
+    def test_pickle_drops_derived_stream(self, tiny_trace):
+        entry = next(e for e in tiny_trace.tiles.values() if e.quads)
+        entry.replay_view(16)
         clone = pickle.loads(pickle.dumps(entry))
-        assert clone._stream is None
+        assert clone._view is None
         assert clone == entry
+        assert entry._view is not None
 
 
 class TestExecuteTotals:
