@@ -115,7 +115,7 @@ class TraceSanitizer:
                 ))
                 continue
             entry = trace.tiles.get(tile)
-            expected = len(entry.quads) if entry is not None else 0
+            expected = entry.num_quads if entry is not None else 0
             if sum(row) != expected:
                 violations.append(Violation(
                     "quad-conservation",

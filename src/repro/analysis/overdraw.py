@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.config import GPUConfig
+from repro.raster.fragment import COVERAGE_LANES, QUAD_PIXEL_OFFSETS
 from repro.sim.driver import FrameTrace
 
 
@@ -26,18 +27,15 @@ def shaded_pixel_map(trace: FrameTrace, config: GPUConfig) -> np.ndarray:
         (config.screen_height, config.screen_width), dtype=np.int32
     )
     ts = config.tile_size
+    lane_table = np.array(COVERAGE_LANES)
     for (tx, ty), entry in trace.tiles.items():
-        for quad in entry.quads:
-            px = tx * ts + quad.qx * 2
-            py = ty * ts + quad.qy * 2
-            for lane, (dx, dy) in enumerate(
-                [(0, 0), (1, 0), (0, 1), (1, 1)]
-            ):
-                if not quad.coverage[lane]:
-                    continue
-                x, y = px + dx, py + dy
-                if x < config.screen_width and y < config.screen_height:
-                    depth_map[y, x] += 1
+        lanes = lane_table[entry.coverage]
+        for lane, (dx, dy) in enumerate(QUAD_PIXEL_OFFSETS):
+            covered = lanes[:, lane]
+            x = tx * ts + entry.qx[covered] * 2 + dx
+            y = ty * ts + entry.qy[covered] * 2 + dy
+            on_screen = (x < config.screen_width) & (y < config.screen_height)
+            np.add.at(depth_map, (y[on_screen], x[on_screen]), 1)
     return depth_map
 
 
@@ -87,7 +85,7 @@ def per_tile_overdraw(
     """Mean shaded fragments per pixel for each tile."""
     area = config.tile_size * config.tile_size
     return {
-        tile: sum(q.covered_pixels for q in entry.quads) / area
+        tile: entry.covered_pixels / area
         for tile, entry in trace.tiles.items()
     }
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
 
 class _Fenwick:
     """Binary indexed tree over access timestamps."""
@@ -140,13 +142,16 @@ def per_core_reuse_profiles(
     stream independently — the per-L1 view of locality.
     """
     cores = num_cores or scheduler.config.num_shader_cores
+    side = scheduler.config.quads_per_tile_side
     streams: List[List[int]] = [[] for _ in range(cores)]
     for step, tile in enumerate(scheduler.tiles):
         entry = trace.tiles.get(tile)
         if entry is None:
             continue
-        perm = scheduler.permutation_at(step)
-        for quad in entry.quads:
-            core = perm[scheduler.slot_of(quad.qx, quad.qy)] % cores
-            streams[core].extend(quad.texture_lines)
+        view = entry.replay_view(side)
+        line_core = np.repeat(
+            scheduler.core_lut(step, cores)[view.slots], view.counts
+        )
+        for core, stream in enumerate(streams):
+            stream.extend(view.lines[line_core == core].tolist())
     return [reuse_profile(stream) for stream in streams]

@@ -6,33 +6,49 @@ shader cores.  A :class:`Quad` captures everything the replay passes
 need: where it sits (tile + in-tile quad coordinates), what it costs
 (shader ALU cycles, texture sample count) and exactly which texture
 cache lines it touches.
+
+A frame trace stores its quads as columns (:data:`QUAD_COLUMNS`), one
+array per field, and builds :class:`Quad` records only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
+
+import numpy as np
 
 from repro.core.tile_order import TileCoord
 
 #: Pixel offsets within a quad, in (dx, dy) raster order.
 QUAD_PIXEL_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
+#: The columnar quad stream: column -> the fixed little-endian dtype it
+#: is stored and hashed in.  One row per quad in emission order;
+#: ``coverage`` is the 4-bit lane code (lane 0 is the high bit).  Texture
+#: lines are the CSR pair ``line_offsets`` (quads + 1 rows, from 0 to
+#: ``len(lines)``) and ``lines`` (every quad's lines, in quad order).
+QUAD_COLUMNS = {
+    "qx": np.dtype("<i8"),
+    "qy": np.dtype("<i8"),
+    "primitive_id": np.dtype("<i8"),
+    "texture_id": np.dtype("<i8"),
+    "coverage": np.dtype("u1"),
+    "alu_cycles": np.dtype("<i8"),
+    "lod": np.dtype("<f8"),
+    "blend": np.dtype("?"),
+    "line_offsets": np.dtype("<i8"),
+    "lines": np.dtype("<i8"),
+}
 
-@dataclass(frozen=True)
-class QuadKey:
-    """Identity of a quad location on screen."""
-
-    tile: TileCoord
-    qx: int
-    qy: int
-
-    def pixel_origin(self, tile_size: int) -> Tuple[int, int]:
-        """Screen coordinates of the quad's top-left pixel."""
-        return (
-            self.tile[0] * tile_size + self.qx * 2,
-            self.tile[1] * tile_size + self.qy * 2,
-        )
+#: Lane bit weights of a coverage code, lane 0 first.
+COVERAGE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
+#: Per coverage code: its lane flags as :attr:`Quad.coverage` holds
+#: them, and how many lanes it covers.
+COVERAGE_LANES = tuple(
+    tuple(bool(code & weight) for weight in COVERAGE_WEIGHTS.tolist())
+    for code in range(16)
+)
+LANES_COVERED = np.array([sum(lanes) for lanes in COVERAGE_LANES])
 
 
 class Quad(NamedTuple):
@@ -43,10 +59,6 @@ class Quad(NamedTuple):
     ``texture_lines`` is the ordered, de-duplicated tuple of texture
     cache-line numbers its samples touch (all four lanes, including
     helper lanes' contributions, as produced by the sampler).
-
-    A ``NamedTuple`` rather than a dataclass: the render pass creates
-    hundreds of thousands per frame, and tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
     """
 
     tile: TileCoord
@@ -63,10 +75,6 @@ class Quad(NamedTuple):
     @property
     def covered_pixels(self) -> int:
         return sum(self.coverage)
-
-    @property
-    def key(self) -> QuadKey:
-        return QuadKey(self.tile, self.qx, self.qy)
 
     @property
     def compute_cycles(self) -> int:

@@ -7,8 +7,9 @@ fragments of every four adjacent pixels are grouped to form a quad."
 The implementation is vectorized per (primitive, tile): barycentric
 weights, coverage, depth and perspective-correct UVs are evaluated with
 numpy over the primitive's quad-aligned bounding box inside the tile,
-then surviving 2x2 blocks are emitted as :class:`~repro.raster.fragment.Quad`
-records carrying their texture cache-line footprints.
+then surviving 2x2 blocks are emitted with their texture cache-line
+footprints: as :class:`~repro.raster.fragment.Quad` records by the scalar
+path, as the quad columns of a trace entry by the batched fast path.
 
 UV derivatives are taken across each quad's 2x2 lanes — including helper
 lanes outside the triangle — exactly as real GPU quads compute mip LOD.
@@ -17,8 +18,6 @@ lanes outside the triangle — exactly as real GPU quads compute mip LOD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,25 +26,12 @@ from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord
 from repro.raster.blending import BlendingUnit
 from repro.raster.color_buffer import ColorBuffer
-from repro.raster.fragment import Quad
+from repro.raster.fragment import COVERAGE_WEIGHTS, QUAD_COLUMNS, Quad
 from repro.raster.interpolation import barycentric_grid, interpolate_uv_grid
 from repro.raster.setup import ScreenBatch, ScreenPrimitive
 from repro.raster.zbuffer import ZBuffer
 from repro.texture.sampler import ABSENT_LINE, FilterMode, Sampler, quad_lods
 from repro.texture.texture import Texture
-
-#: Coverage tuple for each 4-bit lane code (lane 0 is the high bit), so
-#: the quad emission loop looks coverage up instead of building tuples.
-COVERAGE_TUPLES = tuple(
-    tuple(bool((code >> shift) & 1) for shift in (3, 2, 1, 0))
-    for code in range(16)
-)
-
-_COVERAGE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
-
-#: What ``Quad._make`` does, without its Python-level wrapper frame —
-#: the emission loop builds hundreds of thousands of quads per frame.
-_NEW_QUAD = partial(tuple.__new__, Quad)
 
 
 def _first_visits(rows: np.ndarray) -> np.ndarray:
@@ -70,9 +56,9 @@ def _first_visits(rows: np.ndarray) -> np.ndarray:
 class PendingTileQuads:
     """One tile's rasterized quads awaiting batched footprint assembly.
 
-    Everything the final :class:`Quad` records need except the texture
-    footprints, which are computed per flush group and (texture, samples)
-    by :meth:`Rasterizer.finalize_quads_fast`.
+    Every quad column except the LODs and texture footprints, which are
+    computed per flush group and (texture, samples) by
+    :meth:`Rasterizer.finalize_quads_fast`.
     """
 
     tile: TileCoord
@@ -228,17 +214,20 @@ class Rasterizer:
         # Early-Z.  The scalar depth update is an elementwise min fold
         # over primitives, so "depth before primitive k" is an
         # exclusive running minimum of the depth-write contributions.
-        contrib = np.where(
+        # Computed in place, and the depth arrays are dropped once
+        # ``passed`` is known: they are the tile's largest transients.
+        running = np.where(
             inside & batch.depth_write[rows][:, None, None], z, np.inf
         )
-        running = np.minimum.accumulate(contrib, axis=0)
-        before = np.empty_like(running)
-        before[0] = np.inf
-        before[1:] = running[:-1]
-        tested = inside & (z < before)
+        np.minimum.accumulate(running, axis=0, out=running)
+        tested = z < np.inf  # the depth before the first primitive
+        np.less(z[1:], running[:-1], out=tested[1:])
+        tested &= inside
+        del z, running
         zbuffer.tests += int(inside.sum())
         zbuffer.passes += int(tested.sum())
         passed = np.where(batch.late_z[rows][:, None, None], inside, tested)
+        del inside, tested
         if not passed.any():
             return None
 
@@ -250,7 +239,7 @@ class Rasterizer:
         if not len(kidx):
             return None
         lanes = blocks[kidx, qy, qx].reshape(-1, 4)
-        codes = (lanes * _COVERAGE_WEIGHTS).sum(axis=1)
+        codes = (lanes * COVERAGE_WEIGHTS).sum(axis=1)
 
         # Perspective UVs only at the emitted quads' lanes, in footprint
         # order (0,0),(1,0),(0,1),(1,1): gather the barycentric weights
@@ -288,19 +277,17 @@ class Rasterizer:
 
     def finalize_quads_fast(
         self, batch: ScreenBatch, pending: List[PendingTileQuads]
-    ) -> Dict[TileCoord, List[Quad]]:
-        """Footprint batching + quad emission for a group of tiles.
+    ) -> Dict[TileCoord, Dict[str, np.ndarray]]:
+        """Footprint batching for a group of tiles, emitted as columns.
 
-        Quads from every pending tile are grouped by (texture, samples)
-        so the mip-LOD and cache-line math runs in a handful of
-        vectorized calls per group, whatever the filter mode; the
-        per-quad cache-line rows are then deduped in first-visit order
-        and wrapped into :class:`Quad` records in each tile's emission
-        order.
+        Quads are grouped by (texture, samples) so the mip-LOD and
+        cache-line math runs in a few vectorized calls per group, in
+        any filter mode; rows are deduped in first-visit order and
+        gathered back into emission order as one CSR line array.  Each
+        tile gets its slices of the :data:`QUAD_COLUMNS`.
         """
-        out: Dict[TileCoord, List[Quad]] = {}
         if not pending:
-            return out
+            return {}
         rows_all = np.concatenate([p.prim_row for p in pending])
         lane_u = np.concatenate([p.lane_u for p in pending])
         lane_v = np.concatenate([p.lane_v for p in pending])
@@ -308,50 +295,73 @@ class Rasterizer:
         samples = batch.texture_samples[rows_all]
         total = len(rows_all)
         lods = np.zeros(total, dtype=np.float64)
-        lines: List[Tuple[int, ...]] = [()] * total
+        # Per (texture, samples) group: its quads, their deduped line
+        # counts and their lines, row after row.
+        none = np.zeros(0, dtype=np.int64)
+        group_quads, group_counts, group_lines = [none], [none], [none]
         # One flat loop over (texture, samples) groups: the pairing key
         # is unique because samples lies in [0, stride).
         stride = int(samples.max(initial=0)) + 1
         group_key = tex_ids * stride + samples
         textures_get = self.textures.get
         footprints_batch = self.sampler.quad_footprints_batch
-        for key in np.unique(group_key).tolist():
+        # (Not ``np.unique``, whose first call imports ``numpy.ma``.)
+        for key in sorted(set(group_key.tolist())):
             count = key % stride
             texture = textures_get(key // stride)
             if texture is None or count == 0:
                 continue
             idx = np.nonzero(group_key == key)[0]
-            group_lods, group_lines = footprints_batch(
+            lods[idx], rows = footprints_batch(
                 texture, lane_u[idx], lane_v[idx], count
             )
-            lods[idx] = group_lods
-            first = _first_visits(group_lines)
-            flat = group_lines[first].tolist()
-            bounds = np.cumsum(first.sum(axis=1)).tolist()
-            start = 0
-            for i, end in zip(idx.tolist(), bounds):
-                lines[i] = tuple(flat[start:end])
-                start = end
+            first = _first_visits(rows)
+            group_quads.append(idx)
+            group_counts.append(first.sum(axis=1))
+            group_lines.append(rows[first])
 
-        lods_list = lods.tolist()
-        cursor = 0
-        for p in pending:
-            count = len(p.prim_row)
-            stop = cursor + count
-            tile = p.tile
-            out[tile] = list(map(_NEW_QUAD, zip(
-                repeat(tile), p.qx.tolist(), p.qy.tolist(),
-                batch.pid[p.prim_row].tolist(),
-                batch.texture_id[p.prim_row].tolist(),
-                map(COVERAGE_TUPLES.__getitem__, p.coverage_code.tolist()),
-                batch.alu_cycles[p.prim_row].tolist(),
-                lines[cursor:stop], lods_list[cursor:stop],
-                batch.blend[p.prim_row].tolist(),
-            )))
-            self.quads_emitted += count
-            self.pixels_shaded += p.covered
-            cursor = stop
-        return out
+        # Group-major rows back to emission order: quad q's lines start
+        # at ``start[q]`` of the concatenated group lines.
+        quad_of_row = np.concatenate(group_quads)
+        row_counts = np.concatenate(group_counts)
+        counts = np.zeros(total, dtype=np.int64)
+        start = np.zeros(total, dtype=np.int64)
+        counts[quad_of_row] = row_counts
+        start[quad_of_row] = np.cumsum(row_counts) - row_counts
+        offsets = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        lines = np.concatenate(group_lines)[
+            np.repeat(start - offsets[:-1], counts) + np.arange(offsets[-1])
+        ]
+
+        columns = {
+            "qx": np.concatenate([p.qx for p in pending]),
+            "qy": np.concatenate([p.qy for p in pending]),
+            "primitive_id": batch.pid[rows_all],
+            "texture_id": tex_ids,
+            "coverage": np.concatenate(
+                [p.coverage_code for p in pending]
+            ).astype(QUAD_COLUMNS["coverage"]),
+            "alu_cycles": batch.alu_cycles[rows_all],
+            "lod": lods,
+            "blend": batch.blend[rows_all],
+        }
+        # Each tile's slices, rebasing its CSR offsets to start at 0.
+        bounds = np.cumsum([0] + [len(p.prim_row) for p in pending])
+        cuts = bounds[1:-1]
+        names = [*columns, "line_offsets", "lines"]
+        parts = [np.split(column, cuts) for column in columns.values()]
+        parts.append([
+            offsets[lo:hi + 1] - offsets[lo]
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+        parts.append(np.split(lines, offsets[cuts]))
+        self.quads_emitted += total
+        self.pixels_shaded += sum(p.covered for p in pending)
+        return {
+            p.tile: dict(zip(names, tile_columns))
+            for p, *tile_columns in zip(pending, *parts)
+        }
 
     # -- internals --------------------------------------------------------------
 
@@ -505,16 +515,9 @@ class Rasterizer:
             covered_blocks, coverages, footprints
         ):
             quad = Quad(
-                tile=tile,
-                qx=(x0 + bx - tile_x0) // 2,
-                qy=(y0 + by - tile_y0) // 2,
-                primitive_id=primitive.primitive_id,
-                texture_id=mode.texture_id,
-                coverage=coverage,
-                alu_cycles=shader.alu_cycles,
-                texture_lines=lines,
-                lod=lod,
-                blend=mode.blend,
+                tile, (x0 + bx - tile_x0) // 2, (y0 + by - tile_y0) // 2,
+                primitive.primitive_id, mode.texture_id, coverage,
+                shader.alu_cycles, lines, lod, mode.blend,
             )
             quads.append(quad)
             self.quads_emitted += 1

@@ -27,11 +27,12 @@ sealed chunk set:
   rows, keyed by a campaign hash, so a re-run with ``--resume`` skips
   every design point that already finished.
 
-Chunk file layout (version 1): one ASCII JSON header line holding the
+Chunk file layout (version 2): one ASCII JSON header line holding the
 key, tile, payload SHA-256 and tile digest, a newline, then the raw
-pickle payload.  Writes are atomic (temp file + ``os.replace``) so a
-crash mid-save never leaves a half-written chunk or seal that a later
-``--resume`` would trust.
+pickle payload of the columnar :class:`TileTraceEntry`; a chunk or seal
+of another version is a cache miss.  Writes are atomic (temp file +
+``os.replace``) so a crash mid-save never leaves a half-written chunk
+or seal that a later ``--resume`` would trust.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import GPUConfig
 from repro.core.tile_order import TileCoord, scanline_order
 from repro.errors import CheckpointError, TraceIntegrityError
+from repro.raster.fragment import QUAD_COLUMNS
 from repro.sim.driver import FrameTrace, RenderStats, TileTraceEntry
 from repro.sim.faults import (
     InjectedKill,
@@ -62,10 +66,10 @@ from repro.sim.faults import (
     SITE_JOURNAL_RECORD,
     fault_point,
 )
-from repro.texture.sampler import FilterMode, Sampler
+from repro.texture.sampler import ABSENT_LINE, FilterMode, Sampler
 from repro.workloads.recipe import SceneRecipe
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 #: Subdirectory of a trace checkpoint store holding the chunk sets.
 CHUNK_SUBDIR = "chunks"
 _HEADER_LIMIT = 4096  # sane upper bound on the header line
@@ -155,16 +159,12 @@ def verify_trace(trace: FrameTrace) -> None:
     """Check a trace's structural invariants; raise on any violation.
 
     The invariants are exactly the schedule-independent facts pass 1
-    guarantees: the tile map covers the full screen grid, every quad
-    sits in the tile that recorded it, and the per-tile streams agree
+    guarantees: the tile map covers the full screen grid, every entry is
+    well formed (:func:`_verify_entry`), and the per-tile streams agree
     with the :class:`RenderStats` totals.
     """
     config = trace.config
-    expected_tiles = {
-        (x, y)
-        for x in range(config.tiles_x)
-        for y in range(config.tiles_y)
-    }
+    expected_tiles = set(scanline_order(config.tiles_x, config.tiles_y))
     actual_tiles = set(trace.tiles)
     if actual_tiles != expected_tiles:
         missing = len(expected_tiles - actual_tiles)
@@ -173,23 +173,16 @@ def verify_trace(trace: FrameTrace) -> None:
             f"trace tile map does not cover the {config.tiles_x}x"
             f"{config.tiles_y} grid ({missing} missing, {extra} extra)"
         )
+    side = config.quads_per_tile_side
+    covered = 0
     for tile, entry in trace.tiles.items():
-        for quad in entry.quads:
-            if quad.tile != tile:
-                raise TraceIntegrityError(
-                    f"quad recorded under tile {tile} claims tile "
-                    f"{quad.tile}"
-                )
+        _verify_entry(tile, entry, side)
+        covered += entry.covered_pixels
     if trace.total_quads != trace.stats.num_quads:
         raise TraceIntegrityError(
             f"trace holds {trace.total_quads} quads but RenderStats "
             f"counted {trace.stats.num_quads}"
         )
-    covered = sum(
-        quad.covered_pixels
-        for entry in trace.tiles.values()
-        for quad in entry.quads
-    )
     if covered != trace.stats.pixels_shaded:
         raise TraceIntegrityError(
             f"trace covers {covered} pixels but RenderStats counted "
@@ -197,26 +190,68 @@ def verify_trace(trace: FrameTrace) -> None:
         )
 
 
-def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
-    """Semantic content hash of one tile's replayable work.
+def _verify_entry(tile: TileCoord, entry: TileTraceEntry, side: int) -> None:
+    """One entry's invariants: it claims its own tile; each column is
+    1-D in its fixed dtype, one row per quad (``line_offsets`` one
+    more); ``0 <= qx, qy < side``; coverage codes lie in 1..15; the CSR
+    offsets rise from 0 to ``len(lines)``; no :data:`ABSENT_LINE`."""
+    if entry.tile != tile:
+        raise TraceIntegrityError(
+            f"entry recorded under tile {tile} claims tile {entry.tile}"
+        )
+    rows = entry.num_quads
+    sizes = {"line_offsets": rows + 1, "lines": entry.lines.size}
+    for name, dtype in QUAD_COLUMNS.items():
+        column = getattr(entry, name)
+        expected = sizes.get(name, rows)
+        if column.dtype != dtype or column.shape != (expected,):
+            raise TraceIntegrityError(
+                f"tile {tile} column {name!r} is {column.dtype} of shape "
+                f"{column.shape}, expected {dtype} of shape ({expected},)"
+            )
+    for name, low, high in (("qx", 0, side - 1), ("qy", 0, side - 1),
+                            ("coverage", 1, 15)):
+        column = getattr(entry, name)
+        if rows and (column.min() < low or column.max() > high):
+            raise TraceIntegrityError(
+                f"tile {tile} holds a quad with {name} outside {low}..{high}"
+            )
+    offsets, lines = entry.line_offsets, entry.lines
+    if (
+        offsets[0] != 0 or offsets[-1] != len(lines)
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise TraceIntegrityError(
+            f"tile {tile} line offsets do not rise monotonically from 0 "
+            f"to its {len(lines)} texture lines"
+        )
+    if (lines == ABSENT_LINE).any():
+        raise TraceIntegrityError(
+            f"tile {tile} stores an absent-line filler as a texture line"
+        )
 
-    Covers every replay-relevant field in canonical form (quads in
-    stream order, LODs by ``repr`` so float identity is exact), so two
-    structurally equal entries hash equally regardless of how — or in
-    which process — they were produced.
+
+def tile_digest(tile: TileCoord, entry: TileTraceEntry) -> str:
+    """Content hash of one tile's replayable work, over its column bytes.
+
+    A canonical JSON header (tile, fetch cycles, and the numbers of
+    fetch lines, quads and texture lines, which make the byte stream
+    unambiguous), then the fetch lines as ``<i8`` and every
+    :data:`QUAD_COLUMNS` column in order, in its fixed little-endian
+    dtype: LODs hash by their bits, so ``0.0`` and ``-0.0`` differ.
     """
-    payload = {
+    header = _canonical_json({
         "tile": list(tile),
-        "fetch_lines": list(entry.fetch_lines),
         "fetch_cycles": entry.fetch_cycles,
-        # Every Quad field but ``tile`` (slice 1:8 = qx .. texture_lines;
-        # tuples encode as JSON arrays), then the LOD by repr and blend.
-        "quads": [
-            (*quad[1:8], repr(quad.lod), quad.blend) for quad in entry.quads
-        ],
-    }
-    text = _canonical_json(payload)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+        "fetch_lines": len(entry.fetch_lines),
+        "quads": entry.num_quads,
+        "lines": len(entry.lines),
+    })
+    hasher = hashlib.sha256(header.encode("ascii"))
+    hasher.update(np.asarray(entry.fetch_lines, dtype="<i8").tobytes())
+    for name, dtype in QUAD_COLUMNS.items():
+        hasher.update(np.asarray(getattr(entry, name), dtype).tobytes())
+    return hasher.hexdigest()
 
 
 class TraceDigestBuilder:
@@ -252,9 +287,8 @@ class TraceDigestBuilder:
         """Fold one tile in; ``digest`` skips rehashing a verified chunk."""
         if digest is None:
             digest = tile_digest(tile, entry)
-        quads = entry.quads
-        self.num_quads += len(quads)
-        self.pixels_shaded += sum(quad.covered_pixels for quad in quads)
+        self.num_quads += entry.num_quads
+        self.pixels_shaded += entry.covered_pixels
         return self.add_digest(tile, digest)
 
     def add_digest(self, tile: TileCoord, digest: str) -> str:
@@ -485,7 +519,7 @@ class TileChunkStore:
             "tile": list(tile),
             "sha256": hashlib.sha256(payload).hexdigest(),
             "tile_digest": digest,
-            "num_quads": len(entry.quads),
+            "num_quads": entry.num_quads,
         })
         path = self.chunk_path(tile)
         _atomic_write(path, header.encode("ascii"), b"\n", payload)

@@ -11,10 +11,11 @@ disjoint (so tile order cannot change Z results), Early-Z depends only on
 within-tile primitive order (fixed by the program), and quad-to-SC
 mapping does not alter which fragments survive.  That is what makes the
 two-pass split exact rather than approximate — and what makes the
-*incremental* API below exact as well: :meth:`FrameRenderer.render_tiles`
-emits tiles one at a time, in **any** requested order, and every emitted
-:class:`TileTraceEntry` is bit-identical to the one a whole-frame
-:meth:`FrameRenderer.render` would have produced.
+*incremental* API below exact as well: the tile pass
+:meth:`FrameRenderer.begin_tiles` returns emits tiles one at a time, in
+**any** requested order, and every emitted :class:`TileTraceEntry` is
+bit-identical to the one a whole-frame :meth:`FrameRenderer.render`
+would have produced.
 
 The incremental split is the producer half of the streaming tile
 dataflow (:mod:`repro.sim.stream`): geometry, clipping and binning run
@@ -25,9 +26,12 @@ ever materializing the full frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, repeat
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -40,7 +44,9 @@ from repro.geometry.primitive_assembly import PrimitiveAssembler
 from repro.geometry.vertex_stage import VertexStage
 from repro.raster.blending import BlendingUnit
 from repro.raster.color_buffer import ColorBuffer, FrameBuffer
-from repro.raster.fragment import Quad
+from repro.raster.fragment import (
+    COVERAGE_LANES, COVERAGE_WEIGHTS, LANES_COVERED, QUAD_COLUMNS, Quad,
+)
 from repro.raster.rasterizer import PendingTileQuads, Rasterizer
 from repro.raster.setup import ScreenBatch, setup_draw_batch, setup_primitive
 from repro.raster.zbuffer import ZBuffer
@@ -67,52 +73,112 @@ ENGINES = ("fast", "reference")
 #: group size yields bit-identical entries.
 DEFAULT_GROUP_TILES = 8
 
+#: A group is also flushed once its tiles hold this many quads, so one
+#: flush's footprint rows (hundreds of bytes per quad) stay bounded in
+#: dense frames too; with 8 tiles of the densest bundled game (CCS at
+#: 512x256) a flush held about 10k quads.  Applies wherever
+#: ``group_size`` is non-zero.
+DEFAULT_GROUP_QUADS = 3072
 
-@dataclass
+
+def _empty_column_field(name: str, rows: int = 0):
+    """A field defaulting to a shared read-only empty column
+    (``line_offsets`` holds one 0)."""
+    column = np.zeros(rows, dtype=QUAD_COLUMNS[name])
+    column.flags.writeable = False
+    return field(default_factory=lambda: column)
+
+
+#: ``Quad._make`` without its Python-level frame.
+_NEW_QUAD = partial(tuple.__new__, Quad)
+
+
+@dataclass(eq=False)
 class TileTraceEntry:
-    """One tile's replayable work."""
+    """One tile's replayable work, its quads stored as columns.
 
+    One row per quad, in emission order, of every :data:`QUAD_COLUMNS`
+    column (texture lines as the CSR pair ``line_offsets``/``lines``).
+    :attr:`quads` builds :class:`Quad` records on demand for the
+    reference engines, analysis and tests.  Equality compares every
+    column's dtype, shape and bytes, so ``0.0`` and ``-0.0`` LODs differ.
+    """
+
+    tile: Optional[TileCoord] = None
     fetch_lines: List[int] = field(default_factory=list)
     fetch_cycles: int = 1
-    quads: List[Quad] = field(default_factory=list)
-    #: Lazy :meth:`replay_view`; derived data, never pickled or compared.
-    _view: Optional["ReplayView"] = field(
-        default=None, repr=False, compare=False
-    )
-    _view_side: int = field(default=0, repr=False, compare=False)
+    qx: np.ndarray = _empty_column_field("qx")
+    qy: np.ndarray = _empty_column_field("qy")
+    primitive_id: np.ndarray = _empty_column_field("primitive_id")
+    texture_id: np.ndarray = _empty_column_field("texture_id")
+    coverage: np.ndarray = _empty_column_field("coverage")
+    alu_cycles: np.ndarray = _empty_column_field("alu_cycles")
+    lod: np.ndarray = _empty_column_field("lod")
+    blend: np.ndarray = _empty_column_field("blend")
+    line_offsets: np.ndarray = _empty_column_field("line_offsets", 1)
+    lines: np.ndarray = _empty_column_field("lines")
+
+    @classmethod
+    def from_quads(
+        cls, tile: TileCoord, quads: Sequence[Quad],
+        fetch_lines: Sequence[int] = (), fetch_cycles: int = 1,
+    ) -> "TileTraceEntry":
+        """The columnar entry holding ``quads`` (the inverse of :attr:`quads`)."""
+        entry = cls(tile, list(fetch_lines), fetch_cycles)
+        if not quads:
+            return entry
+        fields = dict(zip(Quad._fields, zip(*quads)))
+        fields["coverage"] = np.array(fields["coverage"]) @ COVERAGE_WEIGHTS
+        texture = fields["texture_lines"]
+        counts = np.fromiter(map(len, texture), np.int64, len(quads))
+        fields["line_offsets"] = np.concatenate([[0], np.cumsum(counts)])
+        fields["lines"] = np.fromiter(chain.from_iterable(texture), np.int64)
+        for name, dtype in QUAD_COLUMNS.items():
+            setattr(entry, name, np.asarray(fields[name], dtype))
+        return entry
+
+    @property
+    def quads(self) -> List[Quad]:
+        """The tile's quads as :class:`Quad` records, built on each access."""
+        bounds = self.line_offsets.tolist()
+        flat = self.lines.tolist()
+        return list(map(_NEW_QUAD, zip(
+            repeat(self.tile), self.qx.tolist(), self.qy.tolist(),
+            self.primitive_id.tolist(), self.texture_id.tolist(),
+            map(COVERAGE_LANES.__getitem__, self.coverage.tolist()),
+            self.alu_cycles.tolist(),
+            [tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+            self.lod.tolist(), self.blend.tolist(),
+        )))
+
+    @property
+    def num_quads(self) -> int:
+        return len(self.qx)
+
+    @property
+    def covered_pixels(self) -> int:
+        """Pixels covered over all of the tile's quads."""
+        return int(LANES_COVERED[self.coverage].sum())
 
     def replay_view(self, side: int) -> "ReplayView":
-        """The tile's quads as columns, the form the replay kernel reads.
+        """The tile as the replay kernel reads it, derived from the columns."""
+        offsets = self.line_offsets
+        counts = offsets[1:] - offsets[:-1]
+        return ReplayView(
+            self.qy * side + self.qx, counts, self.alu_cycles + counts,
+            self.lines, self.fetch_lines, self.fetch_cycles,
+        )
 
-        Built once per entry and reused across every design point
-        replaying the trace (the derivation is pure, so sharing cannot
-        couple replays).
-        """
-        view = self._view
-        if view is None or self._view_side != side:
-            quads = self.quads
-            columns = list(zip(*quads)) or [()] * len(Quad._fields)
-            _, qx, qy, _, _, _, alu, texture, *_ = columns
-            counts = np.fromiter(map(len, texture), np.int64, len(quads))
-            view = ReplayView(
-                slots=np.array(qy, dtype=np.int64) * side
-                + np.array(qx, dtype=np.int64),
-                counts=counts,
-                issue=np.array(alu, dtype=np.int64) + counts,
-                lines=np.fromiter(
-                    chain.from_iterable(texture), np.int64, int(counts.sum())
-                ),
-                fetch_lines=self.fetch_lines,
-                fetch_cycles=self.fetch_cycles,
-            )
-            self._view = view
-            self._view_side = side
-        return view
+    def __eq__(self, other):
+        if not isinstance(other, TileTraceEntry):
+            return NotImplemented
+        return self._identity() == other._identity()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_view"] = None  # derived; keep checkpoints lean
-        return state
+    def _identity(self):
+        columns = [getattr(self, name) for name in QUAD_COLUMNS]
+        return self.tile, list(self.fetch_lines), self.fetch_cycles, [
+            (c.dtype, c.shape, c.tobytes()) for c in columns
+        ]
 
 
 class ReplayView(NamedTuple):
@@ -158,14 +224,11 @@ class FrameTrace:
 
     @property
     def total_quads(self) -> int:
-        return sum(len(t.quads) for t in self.tiles.values())
+        return sum(entry.num_quads for entry in self.tiles.values())
 
     @property
     def total_texture_lines(self) -> int:
-        return sum(
-            len(q.texture_lines)
-            for t in self.tiles.values() for q in t.quads
-        )
+        return sum(len(entry.lines) for entry in self.tiles.values())
 
 
 class _FastTilePass:
@@ -237,6 +300,7 @@ class _FastTilePass:
         rows = bins.rows_for_tile(tile)
         count = len(rows)
         entry = TileTraceEntry(
+            tile,
             fetch_lines=TileFetcher.fetch_lines_fast(
                 bins, tile, batch.pid[rows]
             ),
@@ -252,25 +316,23 @@ class _FastTilePass:
         return entry, pending
 
     def _flush(self, group, pending):
-        """Run the footprint batching for one buffered group of tiles."""
-        if pending:
-            quads_by_tile = self._rasterizer.finalize_quads_fast(
-                self._batch, pending
-            )
-            stats = self.stats
-            for tile, entry in group:
-                quads = quads_by_tile.get(tile)
-                if quads:
-                    entry.quads = quads
-                    stats.nonempty_tiles += 1
-        return group
+        """Run the footprint batching for one buffered group of tiles;
+        returns the group with its non-empty tiles' columns filled in."""
+        if not pending:
+            return group
+        columns = self._rasterizer.finalize_quads_fast(self._batch, pending)
+        self.stats.nonempty_tiles += len(columns)
+        return [
+            (tile, replace(entry, **columns[tile]) if tile in columns else entry)
+            for tile, entry in group
+        ]
 
     def render_tile(self, tile: TileCoord) -> TileTraceEntry:
         """One finished tile, finalized immediately (group of one)."""
         entry, pending = self.tile_entry(tile)
-        if pending is not None:
-            self._flush(((tile, entry),), (pending,))
-        return entry
+        if pending is None:
+            return entry
+        return self._flush(((tile, entry),), (pending,))[0][1]
 
     def iter_tiles(
         self, order: Iterable[TileCoord], group_size: int = DEFAULT_GROUP_TILES
@@ -278,20 +340,26 @@ class _FastTilePass:
         """Yield ``(tile, finished entry)`` in ``order``.
 
         ``group_size`` bounds how many tiles are in flight between
-        footprint flushes; ``0`` defers to one whole-frame flush (same
-        entries, frame-sized footprint arrays).
+        footprint flushes (as :data:`DEFAULT_GROUP_QUADS` bounds their
+        quads); ``0`` defers to one whole-frame flush (same entries,
+        frame-sized footprint arrays).
         """
         group: List[Tuple[TileCoord, TileTraceEntry]] = []
         pending: List[PendingTileQuads] = []
+        quads = 0
         for tile in order:
             entry, tile_pending = self.tile_entry(tile)
             group.append((tile, entry))
             if tile_pending is not None:
                 pending.append(tile_pending)
-            if group_size and len(group) >= group_size:
-                yield from self._flush(group, pending)
-                group = []
-                pending = []
+                quads += len(tile_pending.qx)
+            if group_size and (
+                len(group) >= group_size or quads >= DEFAULT_GROUP_QUADS
+            ):
+                # Drop the pending lanes before the consumer runs.
+                finished = self._flush(group, pending)
+                group, pending, quads = [], [], 0
+                yield from finished
         yield from self._flush(group, pending)
 
     def finish(self) -> RenderStats:
@@ -363,6 +431,7 @@ class _ReferenceTilePass:
         parameter_buffer = self._parameter_buffer
         primitives = parameter_buffer.primitives_for_tile(tile)
         entry = TileTraceEntry(
+            tile,
             fetch_lines=TileFetcher.fetch_lines(
                 parameter_buffer, tile, primitives
             ),
@@ -373,12 +442,15 @@ class _ReferenceTilePass:
             self._zbuffer.clear()
             if color_buffer is not None:
                 color_buffer.clear()
-            entry.quads = self._rasterizer.rasterize_tile(
+            quads = self._rasterizer.rasterize_tile(
                 tile, primitives, self._zbuffer, color_buffer, self._blender
             )
             if self.framebuffer is not None and color_buffer is not None:
                 color_buffer.flush_tile(self.framebuffer, tile)
-            if entry.quads:
+            if quads:
+                entry = TileTraceEntry.from_quads(
+                    tile, quads, entry.fetch_lines, entry.fetch_cycles
+                )
                 self.stats.nonempty_tiles += 1
         return entry
 
@@ -389,14 +461,8 @@ class _ReferenceTilePass:
         for tile in order:
             yield tile, self.render_tile(tile)
 
-    def finish(self) -> RenderStats:
-        """Complete the frame-level counters; valid after full iteration."""
-        stats = self.stats
-        rasterizer = self._rasterizer
-        stats.num_quads = rasterizer.quads_emitted
-        stats.pixels_shaded = rasterizer.pixels_shaded
-        stats.z_cull_rate = self._zbuffer.cull_rate
-        return stats
+    # Same counters from the same sources as the fast pass.
+    finish = _FastTilePass.finish
 
 
 class FrameRenderer:
@@ -417,9 +483,9 @@ class FrameRenderer:
 
     - :meth:`render` — the whole frame at once, returning a
       :class:`FrameTrace`;
-    - :meth:`begin_tiles` / :meth:`render_tiles` — the incremental form:
-      frame-scoped geometry first, then per-tile emission in any order,
-      which is what the streaming dataflow drivers consume.
+    - :meth:`begin_tiles` — the incremental form: frame-scoped
+      geometry first, then per-tile emission in any order, which is
+      what the streaming dataflow drivers consume.
     """
 
     def __init__(
@@ -449,24 +515,6 @@ class FrameRenderer:
         if self.engine == "fast" and not with_image:
             return _FastTilePass(self, workload)
         return _ReferenceTilePass(self, workload, with_image)
-
-    def render_tiles(
-        self,
-        workload: BuiltWorkload,
-        order: Optional[Iterable[TileCoord]] = None,
-        group_size: int = DEFAULT_GROUP_TILES,
-    ) -> Iterator[Tuple[TileCoord, TileTraceEntry]]:
-        """Incremental pass 1: yield ``(tile, entry)`` pairs in ``order``.
-
-        ``order`` defaults to scanline; a streaming replay passes the
-        design point's traversal instead, so tiles are produced exactly
-        when consumed.  Entries are bit-identical to :meth:`render`'s
-        for any order and any ``group_size`` (tiles are disjoint; see
-        the module docstring).
-        """
-        if order is None:
-            order = scanline_order(self.config.tiles_x, self.config.tiles_y)
-        return self.begin_tiles(workload).iter_tiles(order, group_size)
 
     def render(
         self, workload: BuiltWorkload, with_image: bool = False

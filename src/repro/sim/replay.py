@@ -9,14 +9,16 @@ model and the energy model.
 Two engines produce bit-identical :class:`RunResult` records:
 
 * ``"fast"`` (default) — array replay of groups of
-  :data:`~repro.sim.driver.DEFAULT_GROUP_TILES` tiles: the tiles'
-  columnar views (:meth:`~repro.sim.driver.TileTraceEntry.replay_view`)
-  go to cores by :meth:`~repro.core.scheduler.QuadScheduler.core_lut`,
-  one :meth:`~repro.memory.hierarchy.MemoryHierarchy.replay_group` call
+  :data:`~repro.sim.driver.DEFAULT_GROUP_TILES` tiles: the tiles' replay
+  views (:meth:`~repro.sim.driver.TileTraceEntry.replay_view`, derived
+  from the trace's quad columns) go to cores by
+  :meth:`~repro.core.scheduler.QuadScheduler.core_lut`, one
+  :meth:`~repro.memory.hierarchy.MemoryHierarchy.replay_group` call
   runs every line through the exact LRU kernel, and ``np.bincount``
   sums quads, issue cycles and stalls per subtile.  Cache state carries
   from group to group, so grouping changes nothing.
-* ``"reference"`` — the original per-line loop over scalar
+* ``"reference"`` — the original per-line loop over each tile's
+  :class:`~repro.raster.fragment.Quad` records and scalar
   ``texture_access`` calls on the ``OrderedDict`` cache backend, kept
   as the executable specification for differential tests.
 
@@ -192,11 +194,9 @@ class TraceReplayer:
         group: List[TileWorkUnit] = []
         with stream.open(scheduler.tiles) as units:
             for unit in units:
-                total_quads += len(unit.entry.quads)
+                total_quads += unit.entry.num_quads
                 check_quads(total_quads, design.name)
                 if fast:
-                    # Hold the tile's columns, not its Quads, while the
-                    # group fills: a streamed entry can be freed now.
                     unit = unit._replace(entry=unit.entry.replay_view(side))
                 group.append(unit)
                 if len(group) == DEFAULT_GROUP_TILES:

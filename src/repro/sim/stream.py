@@ -121,7 +121,7 @@ class BatchTileStream:
         entries = trace.tiles
         vertex_lines = trace.vertex_lines
         for step, tile in enumerate(self._order):
-            entry = entries.get(tile) or TileTraceEntry()
+            entry = entries.get(tile) or TileTraceEntry(tile)
             if step:
                 yield TileWorkUnit(tile, step, entry, _NO_LINES)
             else:

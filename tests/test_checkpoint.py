@@ -1,7 +1,9 @@
 """Tests for trace checkpointing: round trips, tampering, resume."""
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -18,10 +20,11 @@ from repro.sim.checkpoint import (
     trace_key,
     verify_trace,
 )
-from repro.sim.driver import FrameRenderer
+from repro.sim.driver import FrameRenderer, TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.multiframe import AnimationSimulator
 from repro.sim.replay import TraceReplayer
+from repro.sim.stream import StreamingTileStream
 from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import build_game
 from repro.workloads.animation import Animation
@@ -257,6 +260,72 @@ class TestRunnerIntegration:
         with pytest.raises(TraceIntegrityError, match="missing"):
             store.load(key)
         self._rerendered(store, tiny_config, trace)
+
+
+class TestVersionOneChunkSets:
+    """Chunk sets of the row-of-``Quad`` format are re-rendered, not errors."""
+
+    @pytest.fixture()
+    def legacy(self, tmp_path, tiny_config, game_trace, monkeypatch):
+        """``game_trace`` as version 1 stored it: headers and seal of
+        version 1 under the version-1 key, each payload a pickled entry
+        holding a ``quads`` list."""
+        store = TraceCheckpointStore(tmp_path / "traces")
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "CHECKPOINT_VERSION", 1)
+            key = trace_key(tiny_config, GAMES["SWa"].recipe)
+            store.save(key, game_trace)
+        chunks = store.chunks(key)
+        for tile, entry in game_trace.tiles.items():
+            old = object.__new__(TileTraceEntry)
+            vars(old).update(
+                fetch_lines=list(entry.fetch_lines),
+                fetch_cycles=entry.fetch_cycles,
+                quads=entry.quads, _view=None, _view_side=0,
+            )
+            payload = pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL)
+            path = chunks.chunk_path(tile)
+            header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+            assert header["version"] == 1
+            header["sha256"] = hashlib.sha256(payload).hexdigest()
+            path.write_bytes(
+                json.dumps(header).encode("ascii") + b"\n" + payload
+            )
+        return store, key
+
+    def test_version_two_keys_differ(self, legacy, tiny_config):
+        _, key = legacy
+        assert trace_key(tiny_config, GAMES["SWa"].recipe) != key
+
+    def test_runner_rerenders(self, legacy, tiny_config, game_trace):
+        store, _ = legacy
+        runner = ExperimentRunner(
+            tiny_config, games=["SWa"], checkpoint_store=store
+        )
+        assert runner.trace_for("SWa") == game_trace
+        assert runner.renders_performed == 1
+
+    def test_load_is_a_miss_and_load_or_render_heals(
+        self, legacy, game_trace
+    ):
+        store, key = legacy
+        with pytest.raises(TraceIntegrityError, match="version"):
+            store.load(key)
+        assert store.chunks(key).load_tile((0, 0)) is None
+        assert store.load_or_render(key, lambda: game_trace) is game_trace
+        assert store.load(key) == game_trace
+
+    def test_streamed_replay_rerenders_every_tile(
+        self, legacy, tiny_config, game_trace
+    ):
+        store, key = legacy
+        stream = StreamingTileStream(
+            FrameRenderer(tiny_config), GAMES["SWa"].recipe.build(tiny_config),
+            chunk_store=store.chunks(key),
+        )
+        result = TraceReplayer(tiny_config).run_stream(stream, BASELINE)
+        assert stream.tiles_rendered == len(game_trace.tiles)
+        assert result == TraceReplayer(tiny_config).run(game_trace, BASELINE)
 
 
 class TestFailedRewrite:

@@ -34,6 +34,7 @@ from repro.core.dtexl import (
 from repro.errors import BudgetExceededError, ConfigError
 from repro.memory.cache import Cache, ReferenceCache, replay_caches
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.raster.fragment import QUAD_COLUMNS
 from repro.sim.driver import TileTraceEntry
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.multiframe import AnimationSimulator
@@ -324,21 +325,25 @@ class TestQuadStream:
             assert tuple(view.lines[lo:hi].tolist()) == quad.texture_lines
         assert view.lines.dtype == np.int64
 
-    def test_stream_is_cached_per_side(self):
-        entry = TileTraceEntry()
-        assert entry.replay_view(16) is entry.replay_view(16)
-        first = entry.replay_view(16)
-        entry.replay_view(8)  # side change invalidates
-        assert entry.replay_view(8) is not first
-        assert len(first.lines) == 0
+    def test_view_is_derived_per_side(self, tiny_trace):
+        """No cache: each call derives the slots for the side it is given."""
+        entry = next(e for e in tiny_trace.tiles.values() if e.num_quads)
+        assert entry.replay_view(16).slots.tolist() == (
+            entry.qy * 16 + entry.qx
+        ).tolist()
+        assert entry.replay_view(8).slots.tolist() == (
+            entry.qy * 8 + entry.qx
+        ).tolist()
+        empty = TileTraceEntry().replay_view(16)
+        assert len(empty.slots) == len(empty.lines) == 0
 
-    def test_pickle_drops_derived_stream(self, tiny_trace):
-        entry = next(e for e in tiny_trace.tiles.values() if e.quads)
-        entry.replay_view(16)
+    def test_pickle_round_trips_columns(self, tiny_trace):
+        entry = next(e for e in tiny_trace.tiles.values() if e.num_quads)
         clone = pickle.loads(pickle.dumps(entry))
-        assert clone._view is None
         assert clone == entry
-        assert entry._view is not None
+        assert [getattr(clone, name).dtype for name in QUAD_COLUMNS] == list(
+            QUAD_COLUMNS.values()
+        )
 
 
 class TestExecuteTotals:

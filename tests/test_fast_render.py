@@ -8,13 +8,19 @@ same :class:`FrameTrace` dataclass equality (which includes the
 randomized scene recipes and over adversarial hand-built meshes that
 exercise clipping, culling and degenerate geometry.
 
-A golden-digest table additionally pins the trace content itself: a
+Two golden-digest tables additionally pin the trace content itself: a
 change that alters *both* engines in lockstep (and so passes the
 differential tests) still fails here unless the goldens are
-deliberately regenerated.
+deliberately regenerated.  ``GOLDEN_DIGESTS`` predates the columnar
+trace and is reproduced through :func:`legacy_trace_digest`, the
+canonical-JSON tile digest of the row-of-``Quad`` trace;
+``COLUMN_DIGESTS`` pins today's :func:`trace_digest` over column bytes.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +37,7 @@ from repro.geometry.mesh import (
 )
 from repro.geometry.transform import perspective
 from repro.geometry.vec import Vec2, Vec3
-from repro.sim.checkpoint import trace_digest
+from repro.sim.checkpoint import TraceDigestBuilder, trace_digest
 from repro.sim.driver import ENGINES, FrameRenderer, _FastTilePass
 from repro.texture.sampler import FilterMode, Sampler
 from repro.texture.texture import TextureAllocator
@@ -40,9 +46,10 @@ from repro.workloads.recipe import BuiltWorkload, SceneRecipe
 
 TINY = GPUConfig(screen_width=128, screen_height=64)
 
-#: Golden fast-engine digests of every suite game at the tiny scale.
-#: Regenerate deliberately (render at 128x64 and print ``trace_digest``)
-#: when the trace format or the pipeline semantics change on purpose.
+#: Golden fast-engine digests of every suite game at the tiny scale,
+#: under the canonical-JSON tile digest of the row-of-``Quad`` trace
+#: (:func:`legacy_trace_digest`).  They pin pipeline semantics across
+#: trace formats; regenerate only when those semantics change on purpose.
 GOLDEN_DIGESTS = {
     "CCS": "fc651646ade518701d6872ced9145426a1a3e69768fe86da165022b5e47e8562",
     "SoD": "e001543455cafb6dc115d1987fb8f393d23bd712c779572292d0e60d3a3fcbca",
@@ -55,6 +62,47 @@ GOLDEN_DIGESTS = {
     "Mze": "1f9bed25adbb12e452cbd4fecc99a3ff7f2e65712d4c55c776501c09d3a9be84",
     "GTr": "f4df89c618fd3a113300175e9e7a39c7485e02477aacc83b68f9fa1800023e1d",
 }
+
+#: The same traces under today's column-byte :func:`trace_digest`.
+#: Regenerate deliberately (render at 128x64 and print ``trace_digest``)
+#: when the trace format or the pipeline semantics change on purpose.
+COLUMN_DIGESTS = {
+    "CCS": "e5a73cb897e6c0370fc6832d0abdf8610be74bc4d5798740b8d24a3a19819ba8",
+    "SoD": "7302397cf0d0eb97178a6eae24624e28b22f6f509dbb0f124a179ba0028f4a4a",
+    "TRu": "154348c081367fe3e973832b2c1c7652bb2c11e8ae2e435bf0bd313f5f0b7e50",
+    "SWa": "47bcbe242a442eaba12e8911c90f83384de7f796ff1baea5eac40077842afa2f",
+    "CRa": "366720f9209aa2d97c071a5c2878e07b7046f3338b856e78abbf7fc2b0ccc41f",
+    "RoK": "343828109964f1c58f2570f0e80a8ccefb5bc44b1c260c7ba8a0bc22966a30ba",
+    "DDS": "ceedffe38b93199ccc1affaf5809404e9c640b6de803a8a477a85b822690a78d",
+    "Snp": "a4b5868c198f3f359d9e21c627c72e3e1f398bf626f2af663ad03515e46f146f",
+    "Mze": "891c6b357b7cf49fc57281676b681dde0d3b4053fc8d741fb1037617068f0302",
+    "GTr": "82314f269863521914569f51aded23945d5ac5c316ef64e0a485083e6f048fb7",
+}
+
+
+def legacy_tile_digest(tile, entry):
+    """The version-1 tile digest: canonical JSON of every quad, read
+    through the entry's ``Quad`` view (LODs by ``repr``)."""
+    payload = {
+        "tile": list(tile),
+        "fetch_lines": list(entry.fetch_lines),
+        "fetch_cycles": entry.fetch_cycles,
+        "quads": [
+            (*quad[1:8], repr(quad.lod), quad.blend) for quad in entry.quads
+        ],
+    }
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=list
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def legacy_trace_digest(trace):
+    """The frame hash chain, folded over :func:`legacy_tile_digest`."""
+    builder = TraceDigestBuilder(trace.config, trace.vertex_lines)
+    for tile, entry in trace.tiles.items():
+        builder.add(tile, entry, digest=legacy_tile_digest(tile, entry))
+    return builder.finish(trace.stats)
 
 
 #: The filter modes that share the bilinear fast pass since it learned
@@ -85,9 +133,16 @@ def assert_traces_identical(fast, ref):
 class TestGameSuiteDifferential:
     @pytest.mark.parametrize("alias", game_aliases())
     def test_fast_matches_golden_digest(self, alias):
+        """The columnar trace is the row-of-``Quad`` trace it replaced."""
         workload = build_game(alias, TINY)
         trace, _ = FrameRenderer(TINY, engine="fast").render(workload)
-        assert trace_digest(trace) == GOLDEN_DIGESTS[alias]
+        assert legacy_trace_digest(trace) == GOLDEN_DIGESTS[alias]
+
+    @pytest.mark.parametrize("alias", game_aliases())
+    def test_fast_matches_column_digest(self, alias):
+        workload = build_game(alias, TINY)
+        trace, _ = FrameRenderer(TINY, engine="fast").render(workload)
+        assert trace_digest(trace) == COLUMN_DIGESTS[alias]
 
     @pytest.mark.parametrize("alias", ["CCS", "RoK", "GTr"])
     def test_fast_matches_reference(self, alias):
@@ -97,6 +152,7 @@ class TestGameSuiteDifferential:
 
     def test_goldens_cover_every_game(self):
         assert sorted(GOLDEN_DIGESTS) == sorted(game_aliases())
+        assert sorted(COLUMN_DIGESTS) == sorted(game_aliases())
 
 
 class TestFilterModesDifferential:

@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.core.dtexl import BASELINE, DTEXL_BEST, PAPER_CONFIGURATIONS
 from repro.errors import InvariantViolationError
 from repro.sim.checkpoint import trace_digest
+from repro.sim.driver import TileTraceEntry
 from repro.sim.replay import TraceReplayer
 
 UPPER_BOUND = PAPER_CONFIGURATIONS["upper-bound"]
@@ -75,9 +76,12 @@ class TestMutations:
     ):
         mutated = copy.deepcopy(tiny_trace)
         tile = next(
-            t for t, entry in sorted(mutated.tiles.items()) if entry.quads
+            t for t, entry in sorted(mutated.tiles.items()) if entry.num_quads
         )
-        mutated.tiles[tile].quads.pop()
+        entry = mutated.tiles[tile]
+        mutated.tiles[tile] = TileTraceEntry.from_quads(
+            tile, entry.quads[:-1], entry.fetch_lines, entry.fetch_cycles
+        )
         violations = TraceSanitizer(tiny_config).check(
             mutated, baseline_result, BASELINE
         )

@@ -31,6 +31,7 @@ from repro.sim.checkpoint import (
     trace_digest,
     trace_key,
 )
+from repro.sim import driver
 from repro.sim.driver import FrameRenderer
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.replay import TraceReplayer
@@ -41,6 +42,7 @@ from repro.sim.stream import (
     TileWorkUnit,
     check_driver,
 )
+from repro.texture.sampler import FilterMode, Sampler
 from repro.workloads.games import GAMES, build_game, game_aliases
 from repro.workloads.recipe import SceneRecipe
 
@@ -100,6 +102,20 @@ class TestDriverEquivalence:
             "SWa", BASELINE, replayer, group_size=group_size
         )
         assert streamed == batch
+
+    @pytest.mark.parametrize(
+        "group_quads, mode",
+        [(1, FilterMode.BILINEAR), (64, FilterMode.TRILINEAR)],
+    )
+    def test_quad_bounded_flushes_never_change_the_trace(
+        self, group_quads, mode, monkeypatch
+    ):
+        workload = build_game("CCS", TINY)
+        expected, _ = FrameRenderer(TINY, Sampler(mode)).render(workload)
+        monkeypatch.setattr(driver, "DEFAULT_GROUP_QUADS", group_quads)
+        trace, _ = FrameRenderer(TINY, Sampler(mode)).render(workload)
+        assert trace == expected
+        assert trace_digest(trace) == trace_digest(expected)
 
     def test_streaming_stats_match_batch_trace(self, replayer):
         _, trace = batch_result("SWa", BASELINE, replayer)
